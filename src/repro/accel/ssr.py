@@ -33,7 +33,7 @@ from ..core.engines import EngineError
 from ..core.stream import StreamUnderflow
 from ..memory.hierarchy import MemorySystem
 from ..memory.port import MemoryPort
-from ..memory.ram import Ram
+from ..memory.ram import MemoryAccessError, Ram
 from .base import AcceleratorConfig, AcceleratorFrontEnd, BuildContext
 
 _U32 = 0xFFFFFFFF
@@ -184,6 +184,9 @@ class SSRUnit(SimComponent):
             target = n
         if self._issued >= target:
             return
+        if (self.regs["mode"] == SSR_MODE_INDEXED and self.mem.closed_form
+                and self._advance_indexed(target)):
+            return
         mem_read = self.mem.read
         ram = self.ram
         name = self.name
@@ -217,6 +220,55 @@ class SSRUnit(SimComponent):
             # Next index address generates the following cycle, or when
             # the port actually accepted this one (back-pressure).
             self._gen_time = max(t + 1, t_idx - port_latency)
+
+    def _advance_indexed(self, target: int) -> bool:
+        """The indexed chain of :meth:`_advance` in closed form (when
+        ``MemorySystem.closed_form`` holds).
+
+        Nothing else issues on the port within one call, so with
+        ``a_0 = max(gen, free)`` element ``k``'s index request issues at
+        ``a_k = a_0 + k*(L+1)``.  Its value request is presented when
+        the index returns, at ``a_k + L``, and issues without waiting
+        (the pipe head is ``a_k + 1``); the next index is generated at
+        ``a_k`` and waits for the pipe head ``a_k + L + 1``.  Indirect
+        mode stays per-element: whether a value fetch is charged
+        depends on each map entry, so the slots have no closed form.
+
+        Returns False, changing nothing, when a RAM read would fault;
+        the per-element loop then raises at the exact element.
+        """
+        ram = self.ram
+        idx_base = self.regs["idx_base"]
+        val_base = self.regs["val_base"]
+        first = self._issued
+        try:
+            bits = [
+                ram.read_u32(
+                    (val_base + 4 * ram.read_i32((idx_base + 4 * k) & _U32))
+                    & _U32
+                )
+                for k in range(first, target)
+            ]
+        except MemoryAccessError:
+            return False
+        n = target - first
+        port = self.port
+        lat = port.latency
+        gen = self._gen_time
+        a0 = max(gen, port.next_free_slot)
+        last = a0 + (n - 1) * (lat + 1)
+        # Index waits: a_0 - gen for the first, L+1 for every later one,
+        # except L for the second when the first issued on time (it is
+        # generated at gen + 1 rather than at a_0).
+        waited = a0 - gen + (n - 1) * (lat + 1)
+        if n > 1 and a0 == gen:
+            waited -= 1
+        port.claim(last + lat + 1, 2 * n, waited, self.name)
+        self._ready += range(a0 + 2 * lat, last + 2 * lat + 1, lat + 1)
+        self._data += bits
+        self._issued = target
+        self._gen_time = last if n > 1 else max(gen + 1, a0)
+        return True
 
     # ------------------------------------------------------------------
     # Pop interface (called by the fssrpop / vssrpop.v handlers)

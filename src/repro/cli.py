@@ -251,9 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the headline suite and write machine-readable results",
     )
-    bench.add_argument("--out", type=Path, default=Path("BENCH_PR6.json"),
-                       help="where to write the bench JSON "
-                            "(default BENCH_PR6.json)")
+    bench.add_argument("--out", type=Path, default=Path("bench.json"),
+                       help="where to write the bench JSON (default "
+                            "bench.json; never a committed baseline)")
     bench.add_argument(
         # SUPPRESS: only override the top-level --backend when given
         # (a subparser default would clobber the parent's value).

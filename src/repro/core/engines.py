@@ -61,7 +61,10 @@ class BackEndEngine:
         return stream
 
     def capacity_ok(self) -> bool:
-        return all(s.has_room for s in self.streams.values())
+        for stream in self.streams.values():
+            if not stream.has_room:
+                return False
+        return True
 
     def _seq_read(self, cycle: int, addr: int, words: int) -> int:
         """Sequential metadata read through the BE's wide interface."""
@@ -98,7 +101,7 @@ class BackEndEngine:
 
     def drained(self) -> bool:
         """True when all input is processed and all streams are empty."""
-        return self.exhausted and all(not s.elements for s in self.streams.values())
+        return self.exhausted and all(not s.unconsumed for s in self.streams.values())
 
     @staticmethod
     def _row_chunks(rows: np.ndarray, blen: int) -> list[int]:
@@ -153,6 +156,8 @@ class SpMVGatherEngine(BackEndEngine):
             if ncols
             else np.empty(0, np.uint32)
         )
+        # Stage-3 element addresses V_Base + 4*col, one per non-zero.
+        self.v_addrs = self.v_base + 4 * self.cols.astype(np.int64)
         self.cursor = 0
         self.chunks = self._row_chunks(rows, config.buffer_elems)
         self.chunk_idx = 0
@@ -165,8 +170,8 @@ class SpMVGatherEngine(BackEndEngine):
         count = self.chunks[self.chunk_idx]
         self.chunk_idx += 1
         start = self.cursor
-        self.cursor += count
-        chunk = self.cols[start : start + count]
+        end = self.cursor = start + count
+        chunk = self.cols[start:end]
 
         t = self.time
         # Stage 1/2: stream the column indices (wide sequential read).
@@ -174,14 +179,9 @@ class SpMVGatherEngine(BackEndEngine):
         # Stage 3/4: V gathers start once the first column index arrives,
         # one request per cycle thereafter.
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
-        t_v = first_col_ready
-        read = self.mem.read
-        requester = self.requester
-        v_base = self.v_base
-        for i, col in enumerate(chunk):
-            done = read(v_base + 4 * int(col), first_col_ready + 1 + i, requester)
-            if done > t_v:
-                t_v = done
+        t_v = self.mem.gather(
+            self.v_addrs[start:end], first_col_ready + 1, self.requester
+        )
         ready = t_v + cfg.fill_overhead
 
         self.vval.push_group(ready, self.v_bits[chunk])
@@ -227,6 +227,8 @@ class SpMSpVValueEngine(BackEndEngine):
         )
         v_nnz = regs["v_nnz"]
         self.vpad_bits = ram.read_array(self.vpad_base, v_nnz + 1, np.uint32)
+        # Position-map entry addresses map_base + 4*col, one per non-zero.
+        self.map_addrs = self.map_base + 4 * self.cols.astype(np.int64)
         self.cursor = 0
         self.chunks = self._row_chunks(rows, config.buffer_elems)
         self.chunk_idx = 0
@@ -239,8 +241,8 @@ class SpMSpVValueEngine(BackEndEngine):
         count = self.chunks[self.chunk_idx]
         self.chunk_idx += 1
         start = self.cursor
-        self.cursor += count
-        chunk = self.cols[start : start + count]
+        end = self.cursor = start + count
+        chunk = self.cols[start:end]
 
         positions = self.posmap[chunk]
         hit_positions = positions[positions > 0]
@@ -249,22 +251,15 @@ class SpMSpVValueEngine(BackEndEngine):
         t = self.time
         t_cols = self._seq_read(t, self.cols_base + 4 * start, count)
         first_col_ready = t_cols - (count - 1) // cfg.seq_words_per_slot
-        read = self.mem.read
-        requester = self.requester
-        t_map = first_col_ready
-        for i, col in enumerate(chunk):
-            done = read(self.map_base + 4 * int(col), first_col_ready + 1 + i, requester)
-            if done > t_map:
-                t_map = done
+        gather = self.mem.gather
+        t_map = gather(self.map_addrs[start:end], first_col_ready + 1,
+                       self.requester)
         if hits:
             first_map_ready = t_map - (hits - 1)
-            t_val = t_map
-            for i, pos in enumerate(hit_positions):
-                done = read(
-                    self.vpad_base + 4 * int(pos), first_map_ready + 1 + i, requester
-                )
-                if done > t_val:
-                    t_val = done
+            t_val = gather(
+                self.vpad_base + 4 * hit_positions.astype(np.int64),
+                first_map_ready + 1, self.requester,
+            )
         else:
             t_val = t_map
         ready = t_val + cfg.fill_overhead
@@ -362,21 +357,18 @@ class SpMSpVAlignedEngine(BackEndEngine):
         steps = (nc + v_used) * cfg.merge_cycles_per_step
         merge_done = max(t_meta, t + steps)
         if nm:
-            read = self.mem.read
-            requester = self.requester
-            t_pairs = merge_done
-            for j, k in enumerate(matched_k):
-                done = read(
-                    self.mvals_base + 4 * (lo + int(k)), merge_done + 1 + 2 * j, requester
-                )
-                if done > t_pairs:
-                    t_pairs = done
-            for j, vp in enumerate(matched_vpos):
-                done = read(
-                    self.vpad_base + 4 * (int(vp) + 1), merge_done + 2 + 2 * j, requester
-                )
-                if done > t_pairs:
-                    t_pairs = done
+            # Matrix and vector values interleave, one pair every two
+            # cycles; every matrix-value request is issued first.
+            gather = self.mem.gather
+            t_mval = gather(
+                self.mvals_base + 4 * (lo + matched_k.astype(np.int64)),
+                merge_done + 1, self.requester, spacing=2,
+            )
+            t_vval = gather(
+                self.vpad_base + 4 * (matched_vpos.astype(np.int64) + 1),
+                merge_done + 2, self.requester, spacing=2,
+            )
+            t_pairs = max(t_mval, t_vval)
         else:
             t_pairs = merge_done
         ready = t_pairs + cfg.fill_overhead

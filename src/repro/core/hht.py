@@ -9,7 +9,9 @@ full (*HHT wait cycles*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..component import SimComponent, StatsDict
 from ..memory.hierarchy import MemorySystem
@@ -176,13 +178,13 @@ class HHT(SimComponent):
         stream = _FIFO_STREAMS.get(offset)
         if stream is not None:
             values, completion = self._fifo_read(stream, 1, cycle)
-            return values[0], completion
+            return int(values[0]), completion
         name = self._REG_BY_OFFSET.get(offset)
         if name is not None:
             return self.regs[name] & 0xFFFFFFFF, cycle + 1
         raise EngineError(f"read from unmapped HHT offset 0x{offset:02x}")
 
-    def read_burst(self, offset: int, count: int, cycle: int) -> tuple[list[int], int]:
+    def read_burst(self, offset: int, count: int, cycle: int) -> tuple[np.ndarray, int]:
         stream = _FIFO_STREAMS.get(offset)
         if stream is None:
             raise EngineError(
@@ -223,7 +225,7 @@ class HHT(SimComponent):
         # "N >= 2 permits the HHT to prefetch and store buffers ahead").
         self.engine.pump(cycle)
 
-    def _fifo_read(self, stream_name: str, count: int, cycle: int) -> tuple[list[int], int]:
+    def _fifo_read(self, stream_name: str, count: int, cycle: int) -> tuple[np.ndarray, int]:
         engine = self.engine
         if engine is None:
             raise EngineError("FIFO read before START")
@@ -233,38 +235,45 @@ class HHT(SimComponent):
                 f"stream {stream_name!r} is not produced in mode "
                 f"{HHTMode(self.regs['mode']).name}"
             )
-        values: list[int] = []
+        parts: list[np.ndarray] = []
+        need = count
         last_ready = cycle
-        while len(values) < count:
-            item = stream.pop_available()
-            if item is None:
-                if engine.exhausted:
-                    raise StreamUnderflow(
-                        f"CPU read past end of {stream_name!r} stream"
-                    )
-                before = engine.buffers_filled
-                engine.pump(cycle)
-                if engine.buffers_filled == before and not stream.elements:
-                    raise EngineError(
-                        f"FIFO deadlock on {stream_name!r}: back-end blocked "
-                        "while the stream is empty (kernel protocol violation)"
-                    )
+        while need:
+            staged = stream.unconsumed
+            if staged:
+                slices, ready = stream.pop_available(need)
+                parts += slices
+                if ready > last_ready:
+                    last_ready = ready
+                need = need - staged if staged < need else 0
                 continue
-            ready, bits = item
-            if ready > last_ready:
-                last_ready = ready
-            values.append(bits)
-        wait = max(0, last_ready - cycle)
+            # The stream is empty: let the back-end refill it.
+            if engine.exhausted:
+                raise StreamUnderflow(
+                    f"CPU read past end of {stream_name!r} stream"
+                )
+            before = engine.buffers_filled
+            engine.pump(cycle)
+            if engine.buffers_filled == before and not stream.unconsumed:
+                raise EngineError(
+                    f"FIFO deadlock on {stream_name!r}: back-end blocked "
+                    "while the stream is empty (kernel protocol violation)"
+                )
+        if len(parts) == 1:
+            values = parts[0]
+        else:
+            values = np.concatenate(parts) if parts else np.empty(0, np.uint32)
+        wait = last_ready - cycle  # last_ready never drops below cycle
         cfg = self.config
         completion = (
-            max(cycle, last_ready)
+            last_ready
             + cfg.fifo_read_latency
             + cfg.fifo_beat_per_elem * (count - 1)
         )
         # Consumption recycles buffer slots once the last element has left
         # the buffer into the read datapath (one FE cycle after the data
         # was available) — with N=1 this forces fill/drain alternation.
-        engine.pump(max(cycle, last_ready) + cfg.fifo_read_latency)
+        engine.pump(last_ready + cfg.fifo_read_latency)
         self.counters.cpu_wait_cycles += wait
         self.counters.fifo_reads += 1
         self.counters.elements_supplied += count
@@ -280,7 +289,3 @@ class HHT(SimComponent):
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> dict[str, int]:
         return self.counters.snapshot(self.engine)
-
-    def reset_stats(self) -> None:
-        """Legacy alias for :meth:`reset` (kept for the trace tooling)."""
-        self.reset()

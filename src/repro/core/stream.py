@@ -5,18 +5,20 @@ loads from a fixed buffer address; the FE tracks which buffer is being
 drained and switches to the next ready buffer; a load that finds no ready
 buffer stalls the CPU.
 
-Elements are staged as ``(ready_at_cycle, value_bits)`` pairs grouped into
-*buffers*: each back-end fill occupies ``ceil(n / buffer_elems)`` buffer
-slots, and a slot is only recycled when the CPU has drained every element
-in it.  The back-end may run ahead only while a slot is free — with N=1
-this forces strict fill/drain alternation; N=2 gives the paper's
-double-buffering.
+Each back-end fill is staged as one ``(ready_at_cycle, value_bits)``
+group: a ``uint32`` array whose elements all become ready together.  A
+fill occupies ``ceil(n / buffer_elems)`` buffer slots, and a slot is only
+recycled when the CPU has drained every element in it.  The back-end may
+run ahead only while a slot is free — with N=1 this forces strict
+fill/drain alternation; N=2 gives the paper's double-buffering.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class StreamUnderflow(Exception):
@@ -39,28 +41,31 @@ class BufferedStream:
         self.name = name
         self.n_buffers = n_buffers
         self.buffer_elems = buffer_elems
-        self.elements: deque[tuple[int, int]] = deque()
-        # Remaining element count of each outstanding buffer slot, oldest
-        # first.  len(self._slots) is the number of occupied slots.
-        self._slots: deque[int] = deque()
+        # Staged fills, oldest first: [ready_at, values, consumed].
+        self._groups: deque[list] = deque()
+        self._unconsumed = 0
+        self._occupied = 0
         self.stats = StreamStats()
 
     @property
     def unconsumed(self) -> int:
-        return len(self.elements)
+        return self._unconsumed
 
     @property
     def occupied_slots(self) -> int:
-        return len(self._slots)
+        return self._occupied
 
     @property
     def has_room(self) -> bool:
-        return len(self._slots) < self.n_buffers
+        return self._occupied < self.n_buffers
 
     def push(self, ready_at: int, value_bits: int) -> None:
         """Stage a single element as its own buffer slot (COUNT stream)."""
-        self.elements.append((ready_at, int(value_bits)))
-        self._slots.append(1)
+        self._groups.append(
+            [ready_at, np.array((value_bits,), dtype=np.uint32), 0]
+        )
+        self._unconsumed += 1
+        self._occupied += 1
 
     def push_group(self, ready_at: int, values) -> None:
         """Stage one back-end fill; it occupies ceil(n/BLEN) buffer slots.
@@ -69,29 +74,44 @@ class BufferedStream:
         overshoots N — the gate then stays closed until the CPU drains the
         extra slots, which is how the model throttles the back-end.
         """
+        values = np.asarray(values, dtype=np.uint32)
         n = len(values)
         if n == 0:
             return
-        append = self.elements.append
-        for v in values:
-            append((ready_at, int(v)))
-        blen = self.buffer_elems
-        full, rem = divmod(n, blen)
-        self._slots.extend([blen] * full)
-        if rem:
-            self._slots.append(rem)
+        self._groups.append([ready_at, values, 0])
+        self._unconsumed += n
+        self._occupied += -(-n // self.buffer_elems)
 
-    def pop_available(self) -> tuple[int, int] | None:
-        """Pop the next element if one is staged (ready or not).
+    def pop_available(self, count: int) -> tuple[list[np.ndarray], int | None]:
+        """Pop up to *count* staged elements (ready or not), oldest first.
 
-        Returns ``(ready_at, value_bits)`` and recycles the owning buffer
-        slot once its last element is consumed.
+        Returns the popped elements as a list of array slices, one per
+        fill they came from, and the latest ``ready_at`` among those
+        fills (``([], None)`` when nothing is staged).  A buffer slot is
+        recycled once its last element is consumed: a fill's first
+        ``consumed // BLEN`` slots are drained, all of them once the
+        fill is.
         """
-        if not self.elements:
-            return None
-        item = self.elements.popleft()
-        slots = self._slots
-        slots[0] -= 1
-        if slots[0] == 0:
-            slots.popleft()
-        return item
+        groups = self._groups
+        blen = self.buffer_elems
+        out: list[np.ndarray] = []
+        latest = None
+        popped = 0
+        while popped < count and groups:
+            group = groups[0]
+            ready, values, done = group
+            n = len(values)
+            end = done + count - popped
+            if end >= n:
+                end = n
+                groups.popleft()
+                self._occupied -= -(-n // blen) - done // blen
+            else:
+                group[2] = end
+                self._occupied -= end // blen - done // blen
+            out.append(values[done:end])
+            popped += end - done
+            if latest is None or ready > latest:
+                latest = ready
+        self._unconsumed -= popped
+        return out, latest

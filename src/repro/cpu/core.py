@@ -666,16 +666,8 @@ class Cpu(SimComponent):
         *element* indices — the x4 scaling is part of the instruction,
         so kernels skip the baseline's vsll.vi step.
         """
-        start = self.cycle
-        latest = start
-        load = self.bus.load_word
-        out = np.empty(len(indices), dtype=np.uint32)
-        for i, index in enumerate(indices):
-            value, completion = load((base + 4 * int(index)) & _U32, start + i)
-            out[i] = value
-            if completion > latest:
-                latest = completion
-        return out, latest
+        addrs = (base + 4 * indices.astype(np.int64)) & _U32
+        return self.bus.load_gather(addrs, self.cycle)
 
     def _op_vlpidx_v(self, ins, pc):
         unit = self._require_indexmac()

@@ -17,7 +17,9 @@ buffer is ready).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Protocol
+from typing import Protocol, Sequence
+
+import numpy as np
 
 from ..component import SimComponent
 from .cache import L1Cache
@@ -40,10 +42,25 @@ class MMIODevice(Protocol):
         """Handle a store; return its completion cycle."""
         ...
 
-    def read_burst(self, offset: int, count: int, cycle: int) -> tuple[list[int], int]:
+    def read_burst(self, offset: int, count: int, cycle: int) -> tuple[Sequence[int], int]:
         """Return ``(values, completion_cycle)`` for a *count*-element
         vector load at *offset* (FIFO semantics for stream devices)."""
         ...
+
+
+def gather_words(load_word, addrs, cycle: int,
+                 requester: str | None = None) -> tuple[np.ndarray, int]:
+    """Word-by-word pipelined gather through *load_word*: word ``i`` is
+    presented at ``cycle + i``.  Returns (u32 values, latest completion,
+    or *cycle* when *addrs* is empty)."""
+    out = np.empty(len(addrs), dtype=np.uint32)
+    latest = cycle
+    for i, addr in enumerate(addrs):
+        value, done = load_word(int(addr), cycle + i, requester)
+        out[i] = value
+        if done > latest:
+            latest = done
+    return out, latest
 
 
 class Bus(SimComponent):
@@ -112,6 +129,24 @@ class Bus(SimComponent):
         offset, device = self._find_device(addr)
         return device.read_word(offset, cycle)
 
+    def load_gather(
+        self, addrs: np.ndarray, cycle: int, requester: str | None = None
+    ) -> tuple[np.ndarray, int]:
+        """Pipelined gather of the words at *addrs* (an integer array of
+        u32 byte addresses): word ``i`` is presented at ``cycle + i``.
+
+        Returns (u32 values, latest completion, or *cycle* when empty).
+        When every address is an aligned RAM word the timing is one
+        :meth:`MemorySystem.gather`; otherwise the words load one by one
+        (MMIO words, or a fault raised at its exact element).
+        """
+        requester = requester or self.default_requester
+        ram = self.ram
+        if len(addrs) and addrs.max() < ram.size and not (addrs & 3).any():
+            latest = self.mem.gather(addrs, cycle, requester)
+            return ram.read_words(addrs >> 2), latest
+        return gather_words(self.load_word, addrs, cycle, requester)
+
     def store_word(self, addr: int, value: int, cycle: int, requester: str | None = None) -> int:
         """Store a 32-bit word; returns the completion cycle."""
         requester = requester or self.default_requester
@@ -124,7 +159,7 @@ class Bus(SimComponent):
 
     def load_burst(
         self, addr: int, count: int, cycle: int, requester: str | None = None
-    ) -> tuple[list[int], int]:
+    ) -> tuple[Sequence[int], int]:
         """Unit-stride vector load of *count* words.
 
         RAM bursts pipeline through the port (one issue slot per beat);

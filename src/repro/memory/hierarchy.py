@@ -31,12 +31,59 @@ class MemorySystem(SimComponent):
         if cache is not None:
             self.add_child(cache)
 
+    @property
+    def closed_form(self) -> bool:
+        """True when a run of reads has closed-form slots: every read is
+        one issue on a flat single-bank port that no probe observes."""
+        port = self.port
+        return (self.cache is None and port.banks == 1
+                and port.probe_sink is None)
+
     # ------------------------------------------------------------------
     def read(self, addr: int, cycle: int, requester: str) -> int:
         """One word read; returns the completion cycle."""
         if self.cache is None:
             return self.port.issue(cycle, requester, addr)
         return self.cache.read(addr, cycle, requester)
+
+    def gather(self, addrs, first: int, requester: str,
+               spacing: int = 1) -> int:
+        """Read one word per address, word ``i`` presented at
+        ``first + spacing * i`` (``spacing >= 1``); return the latest
+        completion, or *first* when *addrs* is empty.
+
+        When :attr:`closed_form` holds, word ``i`` issues at
+        ``max(first + spacing*i, free + i)``, so only the word count
+        matters.  Otherwise (banked port, L1D, or a probe that must see
+        every issue) it is a per-word :meth:`read` loop, word 0 first.
+        """
+        if self.closed_form:
+            port = self.port
+            n = len(addrs)
+            if n == 0:
+                return first
+            lag = port.next_free_slot - first
+            if lag <= 0:
+                waited = 0
+            elif spacing == 1:
+                waited = lag * n
+            else:
+                # Word i waits lag - (spacing-1)*i while that is positive.
+                m = min(n, (lag + spacing - 2) // (spacing - 1))
+                waited = m * lag - (spacing - 1) * m * (m - 1) // 2
+            last = first + spacing * (n - 1)
+            if lag > (spacing - 1) * (n - 1):  # the last word queued
+                last = first + lag + n - 1
+            port.claim(last + 1, n, waited, requester)
+            return last + port.latency
+        read = self.read
+        latest = t = first
+        for addr in addrs:
+            done = read(int(addr), t, requester)
+            if done > latest:
+                latest = done
+            t += spacing
+        return latest
 
     def write(self, addr: int, cycle: int, requester: str) -> int:
         """One word write (write-through when cached)."""

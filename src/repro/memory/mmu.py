@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..component import SimComponent, StatsDict
+from .bus import gather_words
 from .hierarchy import MemorySystem
 
 
@@ -209,6 +210,10 @@ class TranslatingBus:
         if addr < self._ram_size:
             cycle = self.tlb.translate(addr, cycle)
         return self._bus.load_word(addr, cycle, requester)
+
+    def load_gather(self, addrs, cycle: int, requester: str | None = None):
+        """Word by word, so every word's page is translated."""
+        return gather_words(self.load_word, addrs, cycle, requester)
 
     def store_word(self, addr: int, value: int, cycle: int,
                    requester: str | None = None) -> int:

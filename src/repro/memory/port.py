@@ -128,24 +128,18 @@ class MemoryPort(SimComponent):
         """
         if count <= 0:
             return cycle
-        counters = self.counters
         if self.banks == 1:
-            free = self._bank_free
-            slot = cycle if cycle >= free[0] else free[0]
-            free[0] = slot + count
+            free = self._bank_free[0]
+            slot = cycle if cycle >= free else free
             waited = slot - cycle
             # Every beat waits as long as the head beat: beat i wants
             # cycle+i and issues at slot+i.
-            counters.requests += count
-            counters.queue_cycles += waited * count
-            counters.busy_cycles += count
-            counters.by_requester[requester] = (
-                counters.by_requester.get(requester, 0) + count
-            )
+            self.claim(slot + count, count, waited * count, requester)
             sink = self.probe_sink
             if sink is not None:
                 sink.port_issue(self.name, requester, slot, count, waited)
             return slot + count - 1 + self.latency
+        counters = self.counters
         free = self._bank_free
         word0 = addr >> 2
         sink = self.probe_sink
@@ -162,6 +156,24 @@ class MemoryPort(SimComponent):
             if slot > last_slot:
                 last_slot = slot
         return last_slot + self.latency
+
+    def claim(self, next_free: int, count: int, queue_cycles: int,
+              requester: str) -> None:
+        """Account *count* single-bank issues whose slots the caller
+        worked out in closed form: the pipe head moves to *next_free*.
+
+        The one way the closed forms (``issue_burst``,
+        ``MemorySystem.gather``, the SSR indexed chain) touch the issue
+        state.  It emits no probe event: a caller either emits its own
+        (``issue_burst``) or takes it only when no ``probe_sink`` is
+        attached.
+        """
+        self._bank_free[0] = next_free
+        c = self.counters
+        c.requests += count
+        c.queue_cycles += queue_cycles
+        c.busy_cycles += count
+        c.by_requester[requester] = c.by_requester.get(requester, 0) + count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -111,5 +111,9 @@ class Ram:
             )
         return self._u32[idx : idx + count].view(dtype).copy()
 
+    def read_words(self, word_indices: np.ndarray) -> np.ndarray:
+        """Copy the u32 words at *word_indices* (already range-checked)."""
+        return self._u32[word_indices]
+
     def fill(self, value: int = 0) -> None:
         self._bytes[:] = np.uint8(value & 0xFF)

@@ -70,12 +70,12 @@ def build(engine_cls, matrix, config, *, v=None, sv=None):
 
 
 def drain(stream):
-    items = []
-    while True:
-        item = stream.pop_available()
-        if item is None:
-            return items
-        items.append(item)
+    """Every staged element as ``(ready_at, bits)``, oldest first."""
+    out = []
+    while stream.unconsumed:
+        (values,), ready = stream.pop_available(1)
+        out.append((ready, int(values[0])))
+    return out
 
 
 def run_to_exhaustion(engine):
@@ -151,10 +151,10 @@ def test_pump_with_consumer_never_deadlocks(problem):
     guard = 0
     engine.pump(now)
     while not engine.drained():
-        item = engine.streams["vval"].pop_available()
-        if item is not None:
+        slices, ready = engine.streams["vval"].pop_available(1)
+        if slices:
             consumed += 1
-            now = max(now, item[0])
+            now = max(now, ready)
         engine.pump(now)
         guard += 1
         assert guard < 50_000

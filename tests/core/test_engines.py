@@ -44,12 +44,12 @@ def load_operands(matrix: CSRMatrix, v=None, sv: SparseVector | None = None):
 
 
 def drain(stream):
+    """Every staged element as ``(ready_at, bits)``, oldest first."""
     out = []
-    while True:
-        item = stream.pop_available()
-        if item is None:
-            return out
-        out.append(item)
+    while stream.unconsumed:
+        (values,), ready = stream.pop_available(1)
+        out.append((ready, int(values[0])))
+    return out
 
 
 @pytest.fixture
@@ -209,8 +209,8 @@ class TestSpMSpVAlignedEngine:
         ram, regs = load_operands(small_matrix, sv=sv)
         engine = SpMSpVAlignedEngine(HHTConfig(), MemoryPort(), 0, ram, regs)
         engine.step()  # row 0
-        count_ready = engine.count.pop_available()[0]
-        pair_ready = engine.mval.pop_available()[0]
+        count_ready = engine.count.pop_available(1)[1]
+        pair_ready = engine.mval.pop_available(1)[1]
         assert count_ready <= pair_ready
 
     def test_empty_vector_all_zero_counts(self, small_matrix):

@@ -167,7 +167,7 @@ class TestStatistics:
         matrix, v = simple
         program_spmv(ram, hht, matrix, v)
         hht.read_burst(MMR.VVAL_FIFO, 3, 100)
-        hht.reset_stats()
+        hht.reset()
         assert hht.stats_snapshot()["fifo_reads"] == 0
 
     def test_port_requests_attributed_to_hht(self, machine, simple):

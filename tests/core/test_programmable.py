@@ -41,14 +41,14 @@ def make_engine(matrix: CSRMatrix, v: np.ndarray, firmware=None,
     )
 
 
+def drain_bits(stream):
+    """Pop every staged element in one call; their bits, oldest first."""
+    slices, _ = stream.pop_available(stream.unconsumed)
+    return np.concatenate(slices).tolist() if slices else []
+
+
 def drain_f32(stream):
-    out = []
-    while True:
-        item = stream.pop_available()
-        if item is None:
-            break
-        out.append(item[1])
-    return np.array(out, np.uint32).view(np.float32).tolist() if out else []
+    return np.array(drain_bits(stream), np.uint32).view(np.float32).tolist()
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ class TestProgrammableEngine:
         engine = make_engine(matrix, v)
         while not engine.exhausted:
             engine.step()
-        counts = [bits for _, bits in iter(engine.count.pop_available, None)]
+        counts = drain_bits(engine.count)
         assert counts == [2, 0, 1]
         assert drain_f32(engine.mval) == [1.0, 2.0, 3.0]
         assert drain_f32(engine.vval) == [10.0, 30.0, 20.0]
