@@ -22,11 +22,19 @@ Two stream shapes cover the repo's kernels:
   whose 0 entries mean "absent" and hit the padding slot ``value[0]``
   (SpMSpV's sparse-vector lookup); the value fetch is charged only for
   map hits, mirroring the HHT's value engine.
+
+Like the HHT engines, an indexed stream reads its operands at START: one
+vectorised read snapshots every index word and then every value word,
+provided all of them are aligned RAM words.  The timing walk then only
+issues port requests.  Otherwise (and in indirect mode) each element's
+words are read as it is generated, so a fault raises at that element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..component import SimComponent, StatsDict
 from ..core.engines import EngineError
@@ -114,6 +122,9 @@ class SSRUnit(SimComponent):
         self._gen_time = 0
         self._ready: list[int] = []      # per-element data-ready cycle
         self._data: list[int] = []       # per-element value bit patterns
+        # Indexed-mode snapshot: per-element value addresses (the values
+        # themselves are _data), or None to read each element's words.
+        self._val_addrs: np.ndarray | None = None
 
     def _local_stats(self) -> StatsDict:
         c = self.counters
@@ -165,9 +176,29 @@ class SSRUnit(SimComponent):
         self._gen_time = cycle
         self._ready = []
         self._data = []
+        self._val_addrs = None
+        if self.regs["mode"] == SSR_MODE_INDEXED:
+            self._snapshot_indexed()
         self.counters.starts += 1
         # Prefetch: start filling the lookahead window immediately.
         self._advance(self.lookahead)
+
+    def _snapshot_indexed(self) -> None:
+        """Read the whole indexed stream at START, index words then value
+        words, when every one of them is an aligned RAM word."""
+        ram = self.ram
+        val_base = self.regs["val_base"]
+        try:
+            index = ram.read_array(
+                self.regs["idx_base"], self.regs["length"], np.int32
+            )
+        except MemoryAccessError:
+            return
+        val_addrs = (val_base + 4 * index.astype(np.int64)) & _U32
+        if val_base & 3 or (index.size and val_addrs.max() >= ram.size):
+            return
+        self._val_addrs = val_addrs
+        self._data = ram.read_words(val_addrs >> 2).tolist()
 
     def _advance(self, target: int) -> None:
         """Issue element fetches until *target* elements are in flight.
@@ -184,8 +215,9 @@ class SSRUnit(SimComponent):
             target = n
         if self._issued >= target:
             return
-        if (self.regs["mode"] == SSR_MODE_INDEXED and self.mem.closed_form
-                and self._advance_indexed(target)):
+        val_addrs = self._val_addrs
+        if val_addrs is not None and self.mem.closed_form:
+            self._advance_indexed(target)
             return
         mem_read = self.mem.read
         ram = self.ram
@@ -200,30 +232,35 @@ class SSRUnit(SimComponent):
             t = self._gen_time
             idx_addr = (idx_base + 4 * k) & _U32
             t_idx = mem_read(idx_addr, t, name)
-            index = ram.read_i32(idx_addr)
-            if indirect:
-                map_addr = (map_base + 4 * index) & _U32
-                t_meta = mem_read(map_addr, t_idx, name)
-                pos = ram.read_i32(map_addr)
-                if pos > 0:
-                    t_val = mem_read((val_base + 4 * pos) & _U32, t_meta, name)
-                else:
-                    t_val = t_meta  # padding slot: no value fetch charged
-                bits = ram.read_u32(val_base + 4 * max(pos, 0))
+            if val_addrs is not None:
+                # Snapshot taken: the value is already in _data.
+                t_val = mem_read(int(val_addrs[k]), t_idx, name)
             else:
-                val_addr = (val_base + 4 * index) & _U32
-                t_val = mem_read(val_addr, t_idx, name)
-                bits = ram.read_u32(val_addr)
+                index = ram.read_i32(idx_addr)
+                if indirect:
+                    map_addr = (map_base + 4 * index) & _U32
+                    t_meta = mem_read(map_addr, t_idx, name)
+                    pos = ram.read_i32(map_addr)
+                    if pos > 0:
+                        t_val = mem_read((val_base + 4 * pos) & _U32,
+                                         t_meta, name)
+                    else:
+                        t_val = t_meta  # padding slot: no value fetch charged
+                    bits = ram.read_u32(val_base + 4 * max(pos, 0))
+                else:
+                    val_addr = (val_base + 4 * index) & _U32
+                    t_val = mem_read(val_addr, t_idx, name)
+                    bits = ram.read_u32(val_addr)
+                self._data.append(bits)
             self._ready.append(t_val)
-            self._data.append(bits)
             self._issued += 1
             # Next index address generates the following cycle, or when
             # the port actually accepted this one (back-pressure).
             self._gen_time = max(t + 1, t_idx - port_latency)
 
-    def _advance_indexed(self, target: int) -> bool:
+    def _advance_indexed(self, target: int) -> None:
         """The indexed chain of :meth:`_advance` in closed form (when
-        ``MemorySystem.closed_form`` holds).
+        ``MemorySystem.closed_form`` holds and the snapshot was taken).
 
         Nothing else issues on the port within one call, so with
         ``a_0 = max(gen, free)`` element ``k``'s index request issues at
@@ -233,25 +270,8 @@ class SSRUnit(SimComponent):
         ``a_k`` and waits for the pipe head ``a_k + L + 1``.  Indirect
         mode stays per-element: whether a value fetch is charged
         depends on each map entry, so the slots have no closed form.
-
-        Returns False, changing nothing, when a RAM read would fault;
-        the per-element loop then raises at the exact element.
         """
-        ram = self.ram
-        idx_base = self.regs["idx_base"]
-        val_base = self.regs["val_base"]
-        first = self._issued
-        try:
-            bits = [
-                ram.read_u32(
-                    (val_base + 4 * ram.read_i32((idx_base + 4 * k) & _U32))
-                    & _U32
-                )
-                for k in range(first, target)
-            ]
-        except MemoryAccessError:
-            return False
-        n = target - first
+        n = target - self._issued
         port = self.port
         lat = port.latency
         gen = self._gen_time
@@ -265,10 +285,8 @@ class SSRUnit(SimComponent):
             waited -= 1
         port.claim(last + lat + 1, 2 * n, waited, self.name)
         self._ready += range(a0 + 2 * lat, last + 2 * lat + 1, lat + 1)
-        self._data += bits
         self._issued = target
         self._gen_time = last if n > 1 else max(gen + 1, a0)
-        return True
 
     # ------------------------------------------------------------------
     # Pop interface (called by the fssrpop / vssrpop.v handlers)

@@ -48,6 +48,7 @@ from collections import deque
 
 from ..cpu.core import Cpu
 from ..cpu.timing import CpuConfig, LatencyTable
+from ..instrument.session import SimSession
 from ..isa.program import Program
 from ..memory.bus import Bus
 from ..memory.hierarchy import MemorySystem
@@ -149,7 +150,9 @@ class ProgrammableEngine(BackEndEngine):
         x[20] = FIRMWARE_SYMBOLS["emit_count"]   # s4
         x[21] = FIRMWARE_SYMBOLS["emit_mval"]    # s5
         x[22] = FIRMWARE_SYMBOLS["emit_vval"]    # s6
-        self.helper.prepare(firmware)
+        # The engine, not the helper Cpu, holds the stepping session, so
+        # the helper is not in a reference cycle with it.
+        self._helper_session = SimSession(self.helper, firmware)
 
         self.count = self._make_stream("count", config.n_buffers, 1)
         self.mval = self._make_stream("mval", config.n_buffers, config.buffer_elems)
@@ -184,7 +187,7 @@ class ProgrammableEngine(BackEndEngine):
         last_ready = helper.cycle
 
         while True:
-            alive = helper.step_one()
+            alive = self._helper_session.step()
             while pending:
                 stream, bits, ready = pending.popleft()
                 last_ready = ready

@@ -88,7 +88,6 @@ class Cpu(SimComponent):
         self.ssr = None
         self.indexmac = None
         self._reset_local()
-        self._dispatch = self._build_dispatch()
 
     def _reset_local(self) -> None:
         self.x: list[int] = [0] * 32
@@ -124,8 +123,8 @@ class Cpu(SimComponent):
         return out
 
     # ------------------------------------------------------------------
-    # Execution (both entry points are views of one SimSession — the
-    # single canonical interpreter loop lives in repro.instrument).
+    # Execution (a view of one SimSession — the single canonical
+    # interpreter loop lives in repro.instrument).
     # ------------------------------------------------------------------
     def run(self, program: Program, entry: int | str | None = None,
             probes: tuple = ()) -> CpuStats:
@@ -134,35 +133,12 @@ class Cpu(SimComponent):
 
         return SimSession(self, program, entry=entry, probes=probes).run()
 
-    def prepare(self, program: Program, entry: int | str | None = None) -> None:
-        """Load *program* for incremental execution via :meth:`step_one`.
-
-        Used by the programmable HHT's helper core, which must interleave
-        with the rest of the system event by event under an external
-        clock (the engine mutates ``cycle`` between steps).
-        """
-        from ..instrument.session import SimSession
-
-        self._session = SimSession(self, program, entry=entry)
-
-    def step_one(self) -> bool:
-        """Execute one instruction; returns False once halted."""
-        return self._session.step()
-
     @property
-    def _step_pc(self) -> int:
-        """Next instruction index of the prepared session (debug aid)."""
-        return self._session._pc
-
-    def _build_dispatch(self) -> dict[str, object]:
-        table: dict[str, object] = {}
-        for op in INSTRUCTION_CLASS:
-            mangled = "_op_" + op.replace(".", "_")
-            fn = getattr(self, mangled, None)
-            if fn is None:
-                raise SimulationError(f"missing handler {mangled} for {op!r}")
-            table[op] = fn
-        return table
+    def _dispatch(self) -> dict[str, object]:
+        """Mnemonic -> bound handler, built per call and never stored:
+        a stored table of bound methods would make every core a
+        reference cycle that only the cyclic GC frees."""
+        return {op: getattr(self, name) for op, name in HANDLERS.items()}
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -882,3 +858,7 @@ class Cpu(SimComponent):
     def _op_nopseudo(self, ins, pc):
         self._charge("system", self.lat.system)
         return pc + 1
+
+
+#: Mnemonic -> name of its :class:`Cpu` handler method.
+HANDLERS = {op: "_op_" + op.replace(".", "_") for op in INSTRUCTION_CLASS}

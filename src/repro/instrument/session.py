@@ -1,7 +1,7 @@
 """The one canonical execution path: :class:`SimSession`.
 
 Every way of running a program on the simulated machine — ``Soc.run``,
-``Cpu.run``, the ``prepare``/``step_one`` single-stepper the
+``Cpu.run``, the :meth:`SimSession.step` single-stepper the
 programmable HHT's helper core uses, ``trace_program`` and
 ``profile_program`` — is one ``SimSession``: resolve the entry point,
 pre-bind the handlers, then drive a single interpreter loop.  What used
@@ -299,8 +299,8 @@ class SimSession:
 
     def step(self) -> bool:
         """Execute one instruction under an *external* clock; returns
-        False once halted.  This is the ``step_one`` path: the caller
-        (the programmable HHT's engine) mutates ``cpu.cycle`` between
+        False once halted.  The caller (the programmable HHT's
+        engine, which holds the session) mutates ``cpu.cycle`` between
         steps, and the instruction budget is checked against the
         absolute counter."""
         cpu = self.cpu

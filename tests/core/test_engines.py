@@ -213,6 +213,21 @@ class TestSpMSpVAlignedEngine:
         pair_ready = engine.mval.pop_available(1)[1]
         assert count_ready <= pair_ready
 
+    def test_full_count_stream_blocks_pump(self, small_matrix):
+        """Rows without matches fill only the COUNT stream; its slots
+        alone must close the gate."""
+        sv = SparseVector(4, [], [])
+        ram, regs = load_operands(small_matrix, sv=sv)
+        engine = SpMSpVAlignedEngine(
+            HHTConfig(n_buffers=2), MemoryPort(), 0, ram, regs
+        )
+        engine.pump(0)
+        assert engine.buffers_filled == 2
+        assert engine.count.occupied_slots == 2
+        assert engine.mval.occupied_slots == 0
+        assert not engine.exhausted
+        assert engine.blocked_since is not None
+
     def test_empty_vector_all_zero_counts(self, small_matrix):
         sv = SparseVector(4, [], [])
         ram, regs = load_operands(small_matrix, sv=sv)

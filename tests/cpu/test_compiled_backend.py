@@ -86,9 +86,27 @@ class TestTranslationTelemetry:
         assert set(info) == {
             "blocks_compiled", "instructions_translated",
             "forwarded_reads", "folded_constants", "fused_pairs",
-            "loop_blocks",
+            "loop_blocks", "code_reused",
         }
         assert all(v >= 0 for v in info.values())
+
+    def test_code_objects_shared_across_cpus(self):
+        """A second CPU running the same program reuses every compiled
+        code object, while each block still binds its own CPU: the
+        escape-hatch sub-word ops act on the CPU that runs them."""
+        program = assemble(
+            "li a0, 300\nsb a0, 0x100(zero)\nlb a1, 0x100(zero)\nhalt"
+        )
+        first, ram0 = make_cpu()
+        first.run(program)
+        second, ram1 = make_cpu()
+        second.run(program)
+        info = second._compiled_backend.describe()
+        assert info["blocks_compiled"] >= 1
+        assert info["code_reused"] == info["blocks_compiled"]
+        for cpu, ram in ((first, ram0), (second, ram1)):
+            assert cpu.x[11] == 44
+            assert ram.read_u8(0x100) == 44
 
     def test_constants_fold_and_reads_forward(self):
         cpu, _ = make_cpu()
