@@ -29,16 +29,25 @@ Specialization folds everything static into the generated source:
   of the same RAM array (identical bytes, no numpy scalar boxing), and
   an all-in-RAM indexed gather collapses the element-serialized port
   chain to its closed form (slots at ``latency + 1`` steps, queue wait
-  only on the first element);
+  only on the first element).  An MMU does not decline the inline
+  path: behind a ``TranslatingBus`` the block checks the core's TLB
+  itself (a hit on the youngest entry only counts a hit, any other hit
+  is an exact LRU touch) and a miss calls the translating bus, whose
+  ``Tlb.translate`` walks the page table exactly as the reference;
 * a *self-loop* block — terminal branch targeting its own entry, the
   shape of every hot inner loop — compiles to a closure that iterates
   internally: register/counter prologue, exit epilogue and dispatch are
   paid once per burst of iterations, and per-class counts are applied
   once, multiplied by the iteration count.  The dispatcher caps each
   burst so the instruction budget still fires at the exact reference
-  instruction.
+  instruction;
+* a multi-core session runs *generator* blocks under
+  :func:`run_compiled_cores`: before each shared op (memory, MMIO,
+  escape hatch) a block compares its clock with a bound the driver
+  sets, and yields to the other cores when it must wait, so shared ops
+  happen in the reference interleave's exact order.
 
-Compiled blocks are cached per ``(code_digest, entry_pc)`` — a new
+Compiled blocks are cached per ``(code_digest, multi, entry_pc)`` — a new
 ``Program`` object with identical instructions reuses the cache, while
 reloading a different program invalidates nothing but simply resolves to
 its own block set.
@@ -55,9 +64,16 @@ boundaries:
   :func:`run_compiled` when *no* probe is attached, because compiled
   blocks skip the per-instruction hooks and ``probe_sink`` events;
 * a ``MemoryAccessError`` aborts mid-block, so the *partial* charges of
-  the faulting block may differ from the reference abort state (the
-  exception type, message and memory-system side effects are identical;
-  no test or figure depends on post-fault timing).
+  the faulting block (and, multi-core, the private progress of the other
+  cores) may differ from the reference abort state (the exception type,
+  message and memory-system side effects are identical; no test or
+  figure depends on post-fault timing).
+
+One known defect: an escape-hatch handler charges its class directly
+while the block batches the others, so a class first seen in a block
+that also runs a new escape class enters the registry after it (same
+values, different key order; the vector SSR and IndexMAC kernels hit
+this).
 
 The instruction budget stays bit-exact: when a block could cross the
 budget limit the dispatcher falls back to per-instruction reference
@@ -69,6 +85,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -206,18 +223,22 @@ class CompiledBlock:
 
     A *looping* block (terminal branch targeting its own entry) has the
     signature ``fn(cpu, max_execs) -> (next_pc, execs)`` and iterates
-    internally; a plain block is ``fn(cpu) -> next_pc``.
+    internally; a plain block is ``fn(cpu) -> next_pc``.  A *gen* block
+    (multi-core mode, at least one shared op) is a generator function
+    with the same arguments that returns the same value and yields
+    whenever a shared op must wait for another core.
     """
 
-    __slots__ = ("fn", "n", "entry", "source", "looping")
+    __slots__ = ("fn", "n", "entry", "source", "looping", "gen")
 
     def __init__(self, fn, n: int, entry: int, source: str,
-                 looping: bool = False):
+                 looping: bool = False, gen: bool = False):
         self.fn = fn
         self.n = n
         self.entry = entry
         self.source = source
         self.looping = looping
+        self.gen = gen
 
 
 class _ConstLoopBranch(Exception):
@@ -228,8 +249,10 @@ class _ConstLoopBranch(Exception):
 class _Codegen:
     """Accumulates the source of one block closure."""
 
-    def __init__(self, backend):
+    def __init__(self, backend, multi: bool = False):
         self.backend = backend
+        self.multi = multi
+        self.gen = False                 # emitted a yield (multi only)
         self.lines: list[str] = []
         self.ind = 0
         self.pending = 0                 # static cycles not yet applied
@@ -346,6 +369,64 @@ class _Codegen:
         self.emit("_pc_q = 0")
         self.ind -= 1
 
+    def shared_op(self) -> None:
+        """Multi-core gate before an op that touches shared state.
+
+        Emitted after the pending cycles are flushed, so ``cycle`` is
+        the op's start clock.  The op may go only while ``cycle <=
+        _bound`` (see :func:`run_compiled_cores`); otherwise the block
+        publishes its clock and port deltas and yields until the driver
+        resumes it with a new bound.
+        """
+        if not self.multi:
+            return
+        self.gen = True
+        self.emit("if cycle > _bound:")
+        self.ind += 1
+        self.port_flush()
+        self.emit("cpu.cycle = cycle")
+        self.emit("yield")
+        self.emit("_bound = cpu._bound")
+        self.ind -= 1
+
+    # -- inline TLB hits -------------------------------------------------
+    def tlb_hit(self, addr: str, last: str | None = None) -> str:
+        """Condition that *addr*'s page hits the TLB (binding ``_vpn``);
+        with *last*, also that ``[addr, last]`` lies in that one page.
+        Changes nothing: pair it with :meth:`tlb_touch`."""
+        self.need("tlb")
+        shift = self.backend.page_shift
+        vpn = f"(_vpn := {addr} >> {shift})"
+        if last is not None:
+            return (f"{vpn} == ({last}) >> {shift} "
+                    "and (_vpn == _ty or _vpn in _te)")
+        return f"({vpn} == _ty or _vpn in _te)"
+
+    def tlb_touch(self) -> None:
+        """``Tlb.translate``'s hit on ``_vpn``: the LRU touch (skipped
+        when ``_vpn`` already is the youngest entry) and a batched
+        ``hits`` increment."""
+        self.emit("if _vpn != _ty:")
+        self.emit("    del _te[_vpn]")
+        self.emit("    _te[_vpn] = True")
+        self.emit("    _ty = _vpn")
+        self.emit("_th += 1")
+
+    def tlb_fallback(self) -> None:
+        """Counted at the head of a fallback arm of an inline check."""
+        if self.backend.tlb is not None:
+            self.emit("_fb[0] += 1")
+
+    def tlb_forget(self) -> None:
+        """After a call that may have translated: the youngest entry is
+        no longer known."""
+        if self.backend.tlb is not None:
+            self.emit("_ty = -1")
+
+    def tlb_flush(self) -> None:
+        if "tlb" in self.needs:
+            self.emit("_tc.hits += _th")
+
     # -- cycle / class accounting --------------------------------------
     def charge_static(self, klass: str, cycles: int) -> None:
         self.counts[klass] = self.counts.get(klass, 0) + 1
@@ -379,6 +460,7 @@ class _Codegen:
         straight-line end), so each arm can carry its own branch cost.
         """
         self.port_flush()
+        self.tlb_flush()
         self.emit("cpu.cycle = cycle")
         counts = dict(self.counts)
         for klass, n in (extra_counts or {}).items():
@@ -420,15 +502,18 @@ class CompiledBackend:
         self.port = bus.port
         self.ram = bus.ram
         # The whole-chain memory inline is only valid on the Table-1
-        # memory system: one bank, no L1D, no MMU.  Otherwise every
-        # memory op goes through the real bus call (still compiled, just
-        # not inlined) so banked/cached/translated timing stays
-        # bit-identical — a TranslatingBus must see every word access so
-        # its TLB charges the page walks.
-        self.inline_ram = (self.port.banks == 1 and bus.mem.cache is None
-                           and getattr(bus, "tlb", None) is None)
+        # memory system: one bank, no L1D.  Otherwise every memory op
+        # goes through the real bus call (still compiled, just not
+        # inlined) so banked/cached timing stays bit-identical.  Behind
+        # an MMU (a TranslatingBus) the inline path first checks that
+        # the page hits the core's TLB; a miss takes the bus call, whose
+        # translate walks the page table exactly as the reference does.
+        self.inline_ram = self.port.banks == 1 and bus.mem.cache is None
+        self.tlb = getattr(bus, "tlb", None)
+        self.page_shift = (self.tlb._page_shift if self.tlb is not None
+                           else 0)
         self.requester = bus.default_requester
-        self._programs: dict[str, dict[int, CompiledBlock]] = {}
+        self._programs: dict[tuple, dict[int, CompiledBlock]] = {}
         self._lat_snapshot: tuple | None = None
         # Backend-internal telemetry (deliberately NOT in the stats
         # registry: the registry is part of the bit-identity contract).
@@ -439,6 +524,10 @@ class CompiledBackend:
         self.fused_pairs = 0
         self.loop_blocks = 0
         self.code_reused = 0
+        self.yields = 0
+        # Bumped by generated code on the fallback arm of an inline TLB
+        # check; a one-element list so blocks share it through globals.
+        self._fallbacks = [0]
         self._base_globals = {
             "_np": np,
             "_f32": np.float32,
@@ -467,6 +556,8 @@ class CompiledBackend:
             _pkf=_PACK_F, _pki=_PACK_I, _upf=_UNPACK_F, _upi=_UNPACK_I,
             _bits_f32=_bits_f32, _f32bits=_f32bits,
         )
+        if self.tlb is not None:
+            self._base_globals.update(_tlb=self.tlb, _fb=self._fallbacks)
 
     @property
     def cpu(self):
@@ -482,27 +573,35 @@ class CompiledBackend:
             "folded_constants": self.folded_constants,
             "fused_pairs": self.fused_pairs,
             "loop_blocks": self.loop_blocks,
+            "yields": self.yields,
+            "tlb_fallbacks": self._fallbacks[0],
         }
 
-    def blocks_for(self, program: Program) -> dict[int, CompiledBlock]:
-        """The block cache for *program*, invalidated if latencies moved."""
+    def blocks_for(self, program: Program,
+                   multi: bool = False) -> dict[int, CompiledBlock]:
+        """The block cache for *program* (single- or multi-core blocks),
+        invalidated if latencies moved."""
         snap = tuple(sorted(vars(self.cpu.lat).items()))
         if snap != self._lat_snapshot:
             self._programs.clear()
             self._lat_snapshot = snap
-        digest = _program_digest(program)
-        blocks = self._programs.get(digest)
+        key = (_program_digest(program), multi)
+        blocks = self._programs.get(key)
         if blocks is None:
             if len(self._programs) >= self.MAX_PROGRAMS:
                 self._programs.pop(next(iter(self._programs)))
             blocks = {}
-            self._programs[digest] = blocks
+            self._programs[key] = blocks
         return blocks
 
     # ------------------------------------------------------------------
     # Translation
     # ------------------------------------------------------------------
-    def compile_block(self, program: Program, entry: int) -> CompiledBlock:
+    def compile_block(self, program: Program, entry: int,
+                      multi: bool = False) -> CompiledBlock:
+        """Translate the block at *entry*; *multi* emits the multi-core
+        form, whose shared ops wait on :func:`run_compiled_cores`'s
+        bound."""
         instructions = program.instructions
         end = min(len(instructions), entry + MAX_BLOCK_LEN)
         span = []
@@ -523,15 +622,15 @@ class CompiledBackend:
             snap = (self.forwarded_reads, self.folded_constants,
                     self.fused_pairs)
             try:
-                return self._assemble(program, entry, span, looping=True)
+                return self._assemble(program, entry, span, True, multi)
             except _ConstLoopBranch:
                 (self.forwarded_reads, self.folded_constants,
                  self.fused_pairs) = snap
-        return self._assemble(program, entry, span, looping=False)
+        return self._assemble(program, entry, span, False, multi)
 
     def _assemble(self, program: Program, entry: int, span,
-                  looping: bool) -> CompiledBlock:
-        cg = _Codegen(self)
+                  looping: bool, multi: bool) -> CompiledBlock:
+        cg = _Codegen(self, multi)
         escapes: list[tuple[str, object, object]] = []
         if looping:
             cg.ind = 1                      # body inside ``while True:``
@@ -578,7 +677,7 @@ class CompiledBackend:
         fn = scope.pop(f"_block_{entry}")
         self.blocks_compiled += 1
         self.instructions_translated += len(span)
-        return CompiledBlock(fn, len(span), entry, source, looping)
+        return CompiledBlock(fn, len(span), entry, source, looping, cg.gen)
 
     def _render(self, cg: _Codegen, entry: int, looping: bool) -> str:
         arg = "cpu, _max" if looping else "cpu"
@@ -607,6 +706,14 @@ class CompiledBackend:
             head.append("    _pbr = _pcnt.by_requester")
             head.append("    _pc_req = 0")
             head.append("    _pc_q = 0")
+        if "tlb" in cg.needs:
+            # Fetched per call: Tlb.reset replaces both objects.
+            head.append("    _te = _tlb._entries")
+            head.append("    _tc = _tlb.counters")
+            head.append("    _th = 0")
+            head.append("    _ty = -1")
+        if cg.gen:
+            head.append("    _bound = cpu._bound")
         for var in cg.dyn_vars.values():
             head.append(f"    {var} = 0")
         if looping:
@@ -663,6 +770,7 @@ class CompiledBackend:
         (the terminal branch charges after the body on iteration 1).
         """
         cg.port_flush()
+        cg.tlb_flush()
         cg.emit("cpu.cycle = cycle")
         cg.need("cc")
         for klass, n in cg.counts.items():
@@ -716,27 +824,85 @@ class CompiledBackend:
             cg.emit(f"_pc_q += (_slot - {clock}) * {count}")
 
     def _emit_gather_slow(self, cg: _Codegen, ram_size: int,
-                          port_lat: int) -> None:
+                          port_lat: int, inline: bool = True) -> None:
         """Per-element gather chain over the precomputed ``_eas`` list:
-        exact reference order for mixed RAM/MMIO/faulting elements."""
+        exact reference order for mixed RAM/MMIO/faulting elements.
+        With *inline* false every element goes through the bus (behind
+        an MMU, where each element must be translated)."""
+        if not inline:
+            cg.port_flush()
         cg.emit("_t = cycle")
         cg.emit("_i = 0")
         cg.emit("for _ea in _eas:")
         cg.ind += 1
-        cg.emit(f"if _ea < {ram_size} and not _ea & 3:")
-        cg.ind += 1
-        self._inline_port_issue(cg, clock="_t")
-        cg.emit("_vm_d[_i] = _ram_mv[_ea >> 2]")
-        cg.emit(f"_t = _slot + {port_lat + 1}")
-        cg.ind -= 1
-        cg.emit("else:")
-        cg.ind += 1
-        cg.port_flush()
+        if inline:
+            cg.emit(f"if _ea < {ram_size} and not _ea & 3:")
+            cg.ind += 1
+            self._inline_port_issue(cg, clock="_t")
+            cg.emit("_vm_d[_i] = _ram_mv[_ea >> 2]")
+            cg.emit(f"_t = _slot + {port_lat + 1}")
+            cg.ind -= 1
+            cg.emit("else:")
+            cg.ind += 1
+            cg.port_flush()
         cg.emit("_val, _comp = _bus_load(_ea, _t)")
         cg.emit("_vm_d[_i] = _val")
         cg.emit("_t = _comp + 1")
-        cg.ind -= 1
+        if inline:
+            cg.ind -= 1
         cg.emit("_i += 1")
+        cg.ind -= 1
+
+    def _open_inline_burst(self, cg: _Codegen, addr: str,
+                           ram_size: int) -> None:
+        """Open the inline arm of a unit-stride burst of ``vl_`` words:
+        non-empty, aligned, in RAM and, behind an MMU, inside one page
+        that hits the TLB.  A burst straddling two pages falls back to
+        the translating bus, which looks up each page in turn."""
+        cond = (f"vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
+                f" and not {addr} & 3")
+        if self.tlb is not None:
+            cond += " and " + cg.tlb_hit(addr, f"{addr} + (vl_ << 2) - 1")
+        cg.emit(f"if {cond}:")
+        cg.ind += 1
+        if self.tlb is not None:
+            cg.tlb_touch()
+
+    def _emit_bus_burst(self, cg: _Codegen, ins, addr: str, lat) -> None:
+        cg.port_flush()
+        cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
+        cg.tlb_forget()
+        cg.emit(f"v[{ins.rd}][:vl_] = _vals")
+        cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
+
+    def _emit_bus_store_burst(self, cg: _Codegen, ins, addr: str) -> None:
+        cg.port_flush()
+        cg.emit(f"_bus_store_burst({addr}, "
+                f"[int(_b) for _b in v[{ins.rs2}][:vl_]], cycle)")
+        cg.tlb_forget()
+
+    def _emit_gather_tlb_hit(self, cg: _Codegen, ram_size: int) -> None:
+        """Behind an MMU: set ``_hit`` when every element of ``_eas`` is
+        an aligned RAM word whose page hits the TLB, and only then apply
+        the elements' LRU touches in element order (a check that changes
+        nothing, then the touches, so a miss anywhere leaves the TLB as
+        the per-element bus chain expects to find it)."""
+        shift = self.page_shift
+        cg.need("tlb")
+        cg.emit("_hit = False")
+        cg.emit(f"if _eas and max(_eas) < {ram_size} and not _orb & 3:")
+        cg.ind += 1
+        cg.emit("for _ea in _eas:")
+        cg.emit(f"    if _ea >> {shift} not in _te:")
+        cg.emit("        break")
+        cg.emit("else:")
+        cg.emit("    _hit = True")
+        cg.emit("    for _ea in _eas:")
+        cg.emit(f"        _vpn = _ea >> {shift}")
+        cg.emit("        if _vpn != _ty:")
+        cg.emit("            del _te[_vpn]")
+        cg.emit("            _te[_vpn] = True")
+        cg.emit("            _ty = _vpn")
         cg.ind -= 1
 
     # ------------------------------------------------------------------
@@ -865,12 +1031,14 @@ class CompiledBackend:
         # constant.  The handler charges through cpu._charge itself, so
         # sync the batched cycle counter around the call.
         cg.flush_pending()
+        cg.shared_op()
         cg.port_flush()
         cg.emit("cpu.cycle = cycle")
         k = len(escapes)
         escapes.append((op, getattr(type(self.cpu), HANDLERS[op]), ins))
         cg.emit(f"_h{k}(cpu, _i{k}, {pc})")
         cg.emit("cycle = cpu.cycle")
+        cg.tlb_forget()
         cg.invalidate()
 
     # ------------------------------------------------------------------
@@ -911,62 +1079,86 @@ class CompiledBackend:
         Leaves ``_val`` (int) or ``_fv`` (float) and charges *klass*.
         """
         cg.flush_pending()
-        fast_ok = const is not None and const < ram_size and not const & 3
-        fast_known = const is not None
-        if self.inline_ram and (not fast_known or fast_ok):
-            if not fast_known:
-                cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
-                cg.ind += 1
+        cg.shared_op()
+        if self._open_inline_word(cg, addr, const, ram_size):
             self._inline_port_issue(cg)
             cg.emit(f"_cost = _slot + {port_lat + load_use} - cycle")
             if float_dest:
                 cg.emit(f"_fv = float(_ram_f32[{addr} >> 2])")
             else:
                 cg.emit(f"_val = _ram_mv[{addr} >> 2]")
-            if not fast_known:
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
+            if self._else_inline(cg, const):
                 self._emit_generic_load(cg, addr, load_use, float_dest)
                 cg.ind -= 1
         else:
             self._emit_generic_load(cg, addr, load_use, float_dest)
         cg.charge_dyn(klass, "_cost")
 
+    def _open_inline_word(self, cg: _Codegen, addr: str,
+                          const: int | None, ram_size: int) -> bool:
+        """Open the inline arm of a word access at *addr*, if it may
+        have one: the ``if`` of the runtime checks (a RAM-range and
+        alignment test unless *const* settles it, and the TLB hit) with
+        the hit's LRU touch.  :meth:`_else_inline` opens the fallback."""
+        if const is not None and (const >= ram_size or const & 3):
+            return False
+        if not self.inline_ram:
+            return False
+        conds = []
+        if const is None:
+            conds.append(f"{addr} < {ram_size} and not {addr} & 3")
+        if self.tlb is not None:
+            conds.append(cg.tlb_hit(addr))
+        if conds:
+            cg.emit(f"if {' and '.join(conds)}:")
+            cg.ind += 1
+        if self.tlb is not None:
+            cg.tlb_touch()
+        return True
+
+    def _else_inline(self, cg: _Codegen, const: int | None = None) -> bool:
+        """Close an open inline arm and open its fallback arm (returns
+        False when an access at the known address *const* has none)."""
+        if const is not None and self.tlb is None:
+            return False
+        cg.ind -= 1
+        cg.emit("else:")
+        cg.ind += 1
+        cg.tlb_fallback()
+        return True
+
     def _emit_generic_load(self, cg: _Codegen, addr: str, load_use: int,
                            float_dest: bool) -> None:
         cg.port_flush()
         cg.emit(f"_val, _comp = _bus_load({addr}, cycle)")
+        cg.tlb_forget()
         cg.emit(f"_cost = _comp - cycle + {load_use}")
         if float_dest:
             cg.emit("_fv = _bits_f32(_val)")
+
+    def _emit_generic_store(self, cg: _Codegen, addr: str,
+                            value: str) -> None:
+        cg.port_flush()
+        cg.emit(f"_bus_store({addr}, {value}, cycle)")
+        cg.tlb_forget()
 
     def _emit_word_store(self, cg: _Codegen, addr: str, const: int | None,
                          value: str, ram_size: int,
                          float_src: bool = False) -> None:
         cg.flush_pending()
-        fast_ok = const is not None and const < ram_size and not const & 3
-        fast_known = const is not None
+        cg.shared_op()
         generic_value = (f"_f32bits({value})" if float_src else value)
-        if self.inline_ram and (not fast_known or fast_ok):
-            if not fast_known:
-                cg.emit(f"if {addr} < {ram_size} and not {addr} & 3:")
-                cg.ind += 1
+        if self._open_inline_word(cg, addr, const, ram_size):
             self._inline_port_issue(cg)
             if float_src:
                 cg.emit(f"_ram_f32[{addr} >> 2] = {value}")
             else:
                 cg.emit(f"_ram_mv[{addr} >> 2] = {value}")
-            if not fast_known:
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                cg.port_flush()
-                cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
+            if self._else_inline(cg, const):
+                self._emit_generic_store(cg, addr, generic_value)
                 cg.ind -= 1
         else:
-            cg.port_flush()
-            cg.emit(f"_bus_store({addr}, {generic_value}, cycle)")
+            self._emit_generic_store(cg, addr, generic_value)
 
     def _exit_arm(self, cg: _Codegen, cost: int, klass: str,
                   klass_cycles: int, dest: str) -> None:
@@ -1108,28 +1300,19 @@ class CompiledBackend:
                 addr = cg.temp()
                 cg.emit(f"{addr} = {a} & 0xFFFFFFFF")
             cg.flush_pending()
+            cg.shared_op()
             if self.inline_ram:
-                cg.emit(f"if vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
-                        f" and not {addr} & 3:")
-                cg.ind += 1
+                self._open_inline_burst(cg, addr, ram_size)
                 self._inline_port_issue(cg, count="vl_")
                 cg.emit(f"_cost = _slot + vl_ + "
                         f"{port_lat + lat.load_use - 1} - cycle")
                 cg.emit(f"_wi = {addr} >> 2")
                 cg.emit(f"v[{ins.rd}][:vl_] = _ram_u32[_wi:_wi + vl_]")
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                cg.port_flush()
-                cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
-                cg.emit(f"v[{ins.rd}][:vl_] = _vals")
-                cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
+                self._else_inline(cg)
+                self._emit_bus_burst(cg, ins, addr, lat)
                 cg.ind -= 1
             else:
-                cg.port_flush()
-                cg.emit(f"_vals, _comp = _bus_burst({addr}, vl_, cycle)")
-                cg.emit(f"v[{ins.rd}][:vl_] = _vals")
-                cg.emit(f"_cost = _comp - cycle + {lat.load_use}")
+                self._emit_bus_burst(cg, ins, addr, lat)
             cg.charge_dyn("vector_load", "_cost")
             return True
         if op == "vse32.v":
@@ -1140,24 +1323,17 @@ class CompiledBackend:
                 addr = cg.temp()
                 cg.emit(f"{addr} = {a} & 0xFFFFFFFF")
             cg.flush_pending()
+            cg.shared_op()
             if self.inline_ram:
-                cg.emit(f"if vl_ >= 1 and {addr} + (vl_ << 2) <= {ram_size}"
-                        f" and not {addr} & 3:")
-                cg.ind += 1
+                self._open_inline_burst(cg, addr, ram_size)
                 self._inline_port_issue(cg, count="vl_")
                 cg.emit(f"_wi = {addr} >> 2")
                 cg.emit(f"_ram_u32[_wi:_wi + vl_] = v[{ins.rs2}][:vl_]")
-                cg.ind -= 1
-                cg.emit("else:")
-                cg.ind += 1
-                cg.port_flush()
-                cg.emit(f"_bus_store_burst({addr}, "
-                        f"[int(_b) for _b in v[{ins.rs2}][:vl_]], cycle)")
+                self._else_inline(cg)
+                self._emit_bus_store_burst(cg, ins, addr)
                 cg.ind -= 1
             else:
-                cg.port_flush()
-                cg.emit(f"_bus_store_burst({addr}, "
-                        f"[int(_b) for _b in v[{ins.rs2}][:vl_]], cycle)")
+                self._emit_bus_store_burst(cg, ins, addr)
             per = lat.vector_store_per_elem
             cg.emit(f"_cost = {per} * vl_")
             cg.emit("if _cost < 1: _cost = 1")
@@ -1171,6 +1347,7 @@ class CompiledBackend:
                 base = cg.temp()
                 cg.emit(f"{base} = {a} & 0xFFFFFFFF")
             cg.flush_pending()
+            cg.shared_op()
             if self.inline_ram:
                 # Fast path: all effective addresses in RAM and aligned.
                 # With the single-bank port, element i's request issues
@@ -1180,7 +1357,9 @@ class CompiledBackend:
                 # element.  Checked element-wise over plain ints first;
                 # any MMIO/unaligned/out-of-range element falls back to
                 # the per-element chain (which raises like the
-                # reference on a bad address).
+                # reference on a bad address).  Behind an MMU every
+                # element's page must also hit (a hit adds no cycles);
+                # otherwise the chain goes through the translating bus.
                 step = port_lat + 1
                 cg.need("vm", "port")
                 cg.emit(f"_eas = [({base} + _o) & 0xFFFFFFFF "
@@ -1189,9 +1368,15 @@ class CompiledBackend:
                 cg.emit("_orb = 0")
                 cg.emit("for _ea in _eas:")
                 cg.emit("    _orb |= _ea")
-                cg.emit(f"if _eas and max(_eas) < {ram_size} "
-                        "and not _orb & 3:")
-                cg.ind += 1
+                if self.tlb is not None:
+                    self._emit_gather_tlb_hit(cg, ram_size)
+                    cg.emit("if _hit:")
+                    cg.ind += 1
+                    cg.emit("_th += vl_")
+                else:
+                    cg.emit(f"if _eas and max(_eas) < {ram_size} "
+                            "and not _orb & 3:")
+                    cg.ind += 1
                 cg.emit("_slot = cycle if cycle >= _pf[0] else _pf[0]")
                 cg.emit(f"_pf[0] = _slot + {step} * (vl_ - 1) + 1")
                 cg.emit("_pc_req += vl_")
@@ -1203,7 +1388,13 @@ class CompiledBackend:
                 cg.ind -= 1
                 cg.emit("else:")
                 cg.ind += 1
-                self._emit_gather_slow(cg, ram_size, port_lat)
+                if self.tlb is not None:
+                    cg.tlb_fallback()
+                    self._emit_gather_slow(cg, ram_size, port_lat,
+                                           inline=False)
+                    cg.tlb_forget()
+                else:
+                    self._emit_gather_slow(cg, ram_size, port_lat)
                 cg.ind -= 1
             else:
                 cg.need("v")
@@ -1340,29 +1531,136 @@ class CompiledBackend:
         return False
 
 
-def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
-    """Drive *session* to halt on the compiled backend.
-
-    Mirrors :meth:`SimSession.run` for the no-probe case: same entry
-    state, same budget semantics, same ``finally`` bookkeeping.  Blocks
-    that could cross the instruction budget are executed on the
-    reference per-instruction path so the budget error fires at the
-    exact instruction with the exact message.
-    """
-    cpu = session.cpu
-    program = session.program
+def _backend_for_run(cpu) -> CompiledBackend:
+    """The CPU's backend (made on first use), with the per-run
+    register-file views block prologues fetch from the cpu."""
     backend = getattr(cpu, "_compiled_backend", None)
     if backend is None or backend.cpu is not cpu:
         backend = CompiledBackend(cpu)
         cpu._compiled_backend = backend
-    # Per-run register-file views: ``Cpu.reset`` replaces the vector
-    # arrays, so float/int views and buffer-protocol handles are rebuilt
-    # at run entry (they stay valid for the whole run) and fetched by
-    # block prologues from the cpu.
+    # ``Cpu.reset`` replaces the vector arrays, so float/int views and
+    # buffer-protocol handles are rebuilt at run entry (they stay valid
+    # for the whole run).
     cpu._compiled_vf32 = [a.view(np.float32) for a in cpu.v]
     cpu._compiled_vi32 = [a.view(np.int32) for a in cpu.v]
     cpu._compiled_vmv = [memoryview(a) for a in cpu.v]
-    blocks = backend.blocks_for(program)
+    return backend
+
+
+#: The bound of a core with no live rival: every shared op may go.
+_NO_RIVAL = sys.maxsize
+
+
+def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
+    """Drive *session* to halt on the compiled backend.
+
+    Mirrors :meth:`SimSession.run` for the no-probe case: same entry
+    state, same budget semantics, same ``finally`` bookkeeping.  A lone
+    core never waits, so its :func:`_core_runner` runs to the end in
+    one step.
+    """
+    cpu = session.cpu
+    cpu._bound = _NO_RIVAL
+    for _ in _core_runner(session, _backend_for_run(cpu), multi=False):
+        pass
+    return cpu.counters
+
+
+def run_compiled_cores(mcs) -> "CpuStats":  # noqa: F821 - doc type
+    """Drive a :class:`~repro.instrument.session.MultiCoreSession` on
+    the compiled backend, in the reference interleave's exact order.
+
+    The reference loop retires one instruction of the live core with
+    the smallest ``(clock, index)``; clocks only grow, so its retired
+    instructions come out sorted by (start clock, core index).  Only
+    *shared ops* (memory, MMIO, escape-hatch calls) can observe that
+    order, so a core runs its private instructions freely and starts a
+    shared op at clock ``s`` only while ``s <= bound``, where ``bound``
+    is the largest clock that still sorts before every other live core
+    B: ``clock_B`` if the core's index is below B's, else
+    ``clock_B - 1``.  Each instruction stays atomic, so the closed
+    forms inside one (the gather chain, ``issue_burst``) hold.
+
+    Each core is a :func:`_core_runner` generator; multi-core blocks
+    (``compile_block(..., multi=True)``) yield at a shared op past the
+    bound.  The driver resumes the core with the smallest ``(clock,
+    index)`` — which may always go — with its bound in ``cpu._bound``.
+    """
+    from .core import CpuStats
+
+    cpus = mcs.cpus
+    backends = [_backend_for_run(cpu) for cpu in cpus]
+    runners = [_core_runner(s, b, multi=True)
+               for s, b in zip(mcs._sessions, backends)]
+    handoffs = [0] * len(cpus)
+    live = list(range(len(cpus)))
+    sel = -1
+    try:
+        while live:
+            if sel < 0:
+                # The smallest (clock, index) goes; the second smallest
+                # sets its bound.  ``live`` is in index order, so strict
+                # compares break clock ties towards the lower index.
+                rival = -1
+                sel_c = rival_c = 0
+                for i in live:
+                    c = cpus[i].cycle
+                    if sel < 0 or c < sel_c:
+                        rival, rival_c = sel, sel_c
+                        sel, sel_c = i, c
+                    elif rival < 0 or c < rival_c:
+                        rival, rival_c = i, c
+            cpu = cpus[sel]
+            if rival < 0:
+                cpu._bound = _NO_RIVAL
+            else:
+                cpu._bound = rival_c if sel < rival else rival_c - 1
+            try:
+                next(runners[sel])
+            except StopIteration:
+                live.remove(sel)
+                sel = -1
+                continue
+            handoffs[sel] += 1
+            # The core stopped past its bound, so it now sorts after its
+            # rival, the new smallest; find the rival's own rival.
+            sel = rival
+            rival = -1
+            for i in live:
+                if i != sel:
+                    c = cpus[i].cycle
+                    if rival < 0 or c < rival_c:
+                        rival, rival_c = i, c
+    finally:
+        # Closing a suspended runner records its pc and count, and
+        # leaves no generator holding the cores.
+        for runner in runners:
+            runner.close()
+        total = 0
+        slowest = 0
+        for cpu, backend, n in zip(cpus, backends, handoffs):
+            backend.yields += n
+            cpu.counters.cycles = cpu.cycle
+            total += cpu.counters.instructions
+            if cpu.cycle > slowest:
+                slowest = cpu.cycle
+    return CpuStats(instructions=total, cycles=slowest)
+
+
+def _core_runner(session, backend: CompiledBackend, multi: bool):
+    """The block loop of one core: a generator that yields whenever the
+    core must wait for ``cpu._bound`` and returns when it halts.
+
+    Blocks that could cross the instruction budget run on the reference
+    per-instruction path, so the budget error fires at the exact
+    instruction with the exact message.  Budget and PC errors wait for
+    the bound like shared ops, so on several cores the first error in
+    the reference order is the one raised.  The core's pc, retired
+    count and clock are written back on exit.
+    """
+    cpu = session.cpu
+    program = session.program
+    blocks = backend.blocks_for(program, multi)
     blocks_get = blocks.get
     code = session._code
     n = len(code)
@@ -1376,13 +1674,18 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
             block = blocks_get(pc)
             if block is None:
                 if not 0 <= pc < n:
+                    while cpu.cycle > cpu._bound:
+                        yield
                     raise session._pc_error(pc)
-                block = backend.compile_block(program, pc)
+                block = backend.compile_block(program, pc, multi)
                 blocks[pc] = block
             bn = block.n
             if executed + bn >= limit:
-                # Reference tail: bit-exact budget accounting.
+                # Reference tail: one instruction at a time, each while
+                # this core is the scheduler's pick.
                 while not cpu.halted:
+                    while cpu.cycle > cpu._bound:
+                        yield
                     if not 0 <= pc < n:
                         raise session._pc_error(pc)
                     handler, ins = code[pc]
@@ -1395,8 +1698,15 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
                 # Iterate inside the closure, capped so a full burst
                 # stays strictly under the budget; a capped burst falls
                 # back here and ultimately into the reference tail.
-                pc, ex = block.fn(cpu, (limit - executed - 1) // bn)
+                cap = (limit - executed - 1) // bn
+                if block.gen:
+                    pc, ex = yield from block.fn(cpu, cap)
+                else:
+                    pc, ex = block.fn(cpu, cap)
                 executed += ex * bn
+            elif block.gen:
+                pc = yield from block.fn(cpu)
+                executed += bn
             else:
                 pc = block.fn(cpu)
                 executed += bn
@@ -1404,109 +1714,3 @@ def run_compiled(session) -> "CpuStats":  # noqa: F821 - doc type
         session._pc = pc
         stats.instructions = executed
         stats.cycles = cpu.cycle
-    return stats
-
-
-#: Instruction-skew bound for the multi-core compiled driver: one
-#: scheduler pick never runs a core more than ~this many instructions
-#: ahead of the others, so shared-port requests still arrive in rough
-#: global time order (single-core runs are unbounded, as before).
-MULTI_CORE_SKEW = 64
-
-
-def run_compiled_multi(mcs) -> "CpuStats":  # noqa: F821 - doc type
-    """Drive a :class:`~repro.instrument.session.MultiCoreSession` on
-    the compiled backend.
-
-    Interleaves the cores at *basic-block* grain: each scheduler pick
-    (earliest core clock, ties by index — the same arbitration as the
-    reference loop) runs one block, with looping blocks' internal
-    iteration capped by :data:`MULTI_CORE_SKEW` so no core races far
-    ahead of the shared port's arbitration.  Per-core budgets fall back
-    to the reference per-instruction tail for exact error accounting,
-    exactly like :func:`run_compiled`.
-    """
-    from .core import CpuStats
-
-    cpus = mcs.cpus
-    sessions = mcs._sessions
-    program = mcs.program
-    backends = []
-    blockmaps = []
-    for cpu in cpus:
-        backend = getattr(cpu, "_compiled_backend", None)
-        if backend is None or backend.cpu is not cpu:
-            backend = CompiledBackend(cpu)
-            cpu._compiled_backend = backend
-        cpu._compiled_vf32 = [a.view(np.float32) for a in cpu.v]
-        cpu._compiled_vi32 = [a.view(np.int32) for a in cpu.v]
-        cpu._compiled_vmv = [memoryview(a) for a in cpu.v]
-        backends.append(backend)
-        blockmaps.append(backend.blocks_for(program))
-    executed = [cpu.counters.instructions for cpu in cpus]
-    limits = [
-        executed[i] + cpu.config.max_instructions
-        for i, cpu in enumerate(cpus)
-    ]
-    pcs = [s._pc for s in sessions]
-    try:
-        while True:
-            sel = -1
-            sel_cycle = 0
-            for i, cpu in enumerate(cpus):
-                if cpu.halted:
-                    continue
-                c = cpu.cycle
-                if sel < 0 or c < sel_cycle:
-                    sel = i
-                    sel_cycle = c
-            if sel < 0:
-                break
-            cpu = cpus[sel]
-            session = sessions[sel]
-            pc = pcs[sel]
-            blocks = blockmaps[sel]
-            block = blocks.get(pc)
-            if block is None:
-                if not 0 <= pc < len(session._code):
-                    raise session._pc_error(pc)
-                block = backends[sel].compile_block(program, pc)
-                blocks[pc] = block
-            bn = block.n
-            if executed[sel] + bn >= limits[sel]:
-                # Reference tail, one instruction per pick: bit-exact
-                # budget errors without starving the other cores.
-                code = session._code
-                if not 0 <= pc < len(code):
-                    raise session._pc_error(pc)
-                handler, ins = code[pc]
-                pcs[sel] = handler(ins, pc)
-                executed[sel] += 1
-                if executed[sel] >= limits[sel]:
-                    raise session._budget_error(cpu.config.max_instructions)
-                continue
-            if block.looping:
-                cap = (limits[sel] - executed[sel] - 1) // bn
-                skew_cap = MULTI_CORE_SKEW // bn
-                if skew_cap < 1:
-                    skew_cap = 1
-                if cap > skew_cap:
-                    cap = skew_cap
-                pc, ex = block.fn(cpu, cap)
-                pcs[sel] = pc
-                executed[sel] += ex * bn
-            else:
-                pcs[sel] = block.fn(cpu)
-                executed[sel] += bn
-    finally:
-        total = 0
-        slowest = 0
-        for i, cpu in enumerate(cpus):
-            sessions[i]._pc = pcs[i]
-            stats = cpu.counters
-            stats.instructions = executed[i]
-            stats.cycles = cpu.cycle
-            total += executed[i]
-            if cpu.cycle > slowest:
-                slowest = cpu.cycle
-    return CpuStats(instructions=total, cycles=slowest)

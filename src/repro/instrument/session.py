@@ -345,13 +345,13 @@ class MultiCoreSession(SimSession):
     """One program, every core: the ``n_cores > 1`` execution loop.
 
     Each core gets a child :class:`SimSession` holding its pre-bound
-    handler list and program counter; this session arbitrates between
-    them round-robin by earliest core clock (ties broken by core index),
-    executing one instruction per pick.  Because the shared memory port
-    timestamps requests with the issuing core's clock, keeping the core
-    clocks within one instruction of each other makes port requests
-    arrive in (approximately) global time order — which is what makes
-    the existing queue-wait accounting meaningful across cores.
+    handler list and program counter; each pick executes one
+    instruction of the live core with the earliest clock (ties go to
+    the lowest core index).  Because the shared memory port timestamps
+    requests with the issuing core's clock, keeping the core clocks
+    within one instruction of each other makes port requests arrive in
+    (approximately) global time order — which is what makes the
+    existing queue-wait accounting meaningful across cores.
 
     A core starts at the program's ``core{k}`` label when it defines one
     (the row-partitioned kernels do; each partition ends in ``halt``),
@@ -364,13 +364,10 @@ class MultiCoreSession(SimSession):
     covers every port/TLB/stream component exactly as single-core.
 
     Backend rule: with no probes and every core configured for the
-    compiled backend (and no MMU, whose translating bus the compiled
-    closures cannot see), execution hands off to
-    :func:`~repro.cpu.compiled.run_compiled_multi`, which interleaves at
-    *basic-block* grain.  Block-grain arbitration can reorder same-cycle
-    port conflicts relative to the reference's instruction-grain loop,
-    so multi-core cycle counts are backend-specific (single-core stays
-    bit-identical; results/outputs are identical on both).
+    compiled backend (MMU or not), execution hands off to
+    :func:`~repro.cpu.compiled.run_compiled_cores`, which runs compiled
+    blocks in this loop's exact order of shared ops (memory, MMIO and
+    escape-hatch calls), so every observable is bit-identical to it.
     """
 
     def __init__(self, cpus, program: Program, *,
@@ -396,12 +393,10 @@ class MultiCoreSession(SimSession):
         cpus = self.cpus
         sessions = self._sessions
         if (not self.probes
-                and all(c.config.backend == "compiled" for c in cpus)
-                and not any(getattr(c.bus, "tlb", None) is not None
-                            for c in cpus)):
-            from ..cpu.compiled import run_compiled_multi
+                and all(c.config.backend == "compiled" for c in cpus)):
+            from ..cpu.compiled import run_compiled_cores
 
-            return run_compiled_multi(self)
+            return run_compiled_cores(self)
         codes = [s._code for s in sessions]
         lengths = [len(code) for code in codes]
         executed = [cpu.counters.instructions for cpu in cpus]

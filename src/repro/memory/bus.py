@@ -162,9 +162,10 @@ class Bus(SimComponent):
     ) -> tuple[Sequence[int], int]:
         """Unit-stride vector load of *count* words.
 
-        RAM bursts pipeline through the port (one issue slot per beat);
-        device bursts (the HHT FIFOs) are delegated to the device so it can
-        apply FIFO pop semantics and buffer-ready stalls.
+        RAM bursts pipeline through the port (one issue slot per beat) and
+        read back as one u32 array copy; device bursts (the HHT FIFOs) are
+        delegated to the device so it can apply FIFO pop semantics and
+        buffer-ready stalls.
         """
         requester = requester or self.default_requester
         if count <= 0:
@@ -175,8 +176,7 @@ class Bus(SimComponent):
                     f"burst of {count} words at 0x{addr:08x} exceeds RAM"
                 )
             completion = self.mem.read_seq(addr, count, cycle, requester)
-            values = [self.ram.read_u32(addr + 4 * i) for i in range(count)]
-            return values, completion
+            return self.ram.read_array(addr, count, np.uint32), completion
         offset, device = self._find_device(addr)
         return device.read_burst(offset, count, cycle)
 

@@ -39,8 +39,8 @@ class SystemConfig:
     banks: int = 1
     #: CPU cores sharing the RAM port; 1 = the paper's single-core SoC
     #: (stats under ``soc.cpu.*``).  With N > 1 the cores register as
-    #: ``soc.cpu0`` ... ``soc.cpuN-1`` and arbitrate round-robin by
-    #: earliest core clock (ties broken by core index).
+    #: ``soc.cpu0`` ... ``soc.cpuN-1``; the earliest core clock goes
+    #: first, ties to the lowest core index.
     n_cores: int = 1
     #: HHT instances attached to the bus ("hht0", "hht1", ... when > 1).
     n_hhts: int = 1
@@ -222,8 +222,8 @@ class SystemConfig:
         if self.n_cores > 1:
             lines.append(
                 ("", f"Cores = {self.n_cores} "
-                     "(round-robin shared-port arbitration, "
-                     "earliest-clock first)")
+                     "(shared-port arbitration: earliest clock first, "
+                     "ties to the lowest core index)")
             )
         if self.mmu is not None:
             m = self.mmu

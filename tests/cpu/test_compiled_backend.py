@@ -86,9 +86,11 @@ class TestTranslationTelemetry:
         assert set(info) == {
             "blocks_compiled", "instructions_translated",
             "forwarded_reads", "folded_constants", "fused_pairs",
-            "loop_blocks", "code_reused",
+            "loop_blocks", "code_reused", "yields", "tlb_fallbacks",
         }
         assert all(v >= 0 for v in info.values())
+        # Single core, no MMU: no hand-offs and no TLB checks.
+        assert info["yields"] == info["tlb_fallbacks"] == 0
 
     def test_code_objects_shared_across_cpus(self):
         """A second CPU running the same program reuses every compiled

@@ -1,5 +1,6 @@
 """Bus routing and device-mapping tests."""
 
+import numpy as np
 import pytest
 
 from repro.memory import MMIO_BASE, Bus, MemoryAccessError, MemoryPort, Ram
@@ -49,8 +50,19 @@ class TestRamRouting:
         for i in range(4):
             ram.write_u32(0x20 + 4 * i, i + 1)
         values, completion = bus.load_burst(0x20, 4, cycle=0)
-        assert values == [1, 2, 3, 4]
+        # One u32 array copy of the words, not a view of RAM.
+        assert values.dtype == np.uint32
+        assert values.tolist() == [1, 2, 3, 4]
+        ram.write_u32(0x20, 9)
+        assert values[0] == 1
         assert completion == 5  # beats 0..3, last completes at 3+2
+
+    def test_misaligned_burst_rejected_after_the_port(self, system):
+        bus, _, _ = system
+        with pytest.raises(MemoryAccessError,
+                           match="misaligned word access at 0x00000022"):
+            bus.load_burst(0x22, 2, cycle=0)
+        assert bus.port.counters.requests == 2
 
     def test_store_burst(self, system):
         bus, ram, _ = system

@@ -97,7 +97,7 @@ class TestMultiCoreFields:
         assert "MMU" not in base
         text = SystemConfig(n_cores=2, mmu=MmuConfig()).describe()
         assert "Cores = 2" in text
-        assert "round-robin" in text
+        assert "earliest clock first" in text
         assert "16-entry TLB/core" in text
         assert "2-level walk" in text
 
