@@ -11,11 +11,52 @@ the shapes are scale-invariant, see tests/integration).  Set
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def _adjacent_pair_overheads(bare, variants: dict, rounds: int = 13):
+    """Median overhead of each variant over *bare*, from paired timings.
+
+    Each round times every variant back-to-back with a bare run
+    (alternating which goes first) and keeps their ratio; a variant's
+    overhead is the median ratio across rounds minus one.  Adjacent-pair
+    ratios cancel slow drift (frequency scaling, noisy CI neighbours)
+    that makes best-of-N absolute times unstable on shared boxes, and
+    alternating the order cancels within-pair drift bias.
+
+    *bare* and each variant are callables returning ``(seconds, work)``;
+    the two runs of a pair must report the same simulated *work*, or
+    their ratio is meaningless.  Returns ``(overheads, seconds)``, with
+    total seconds per arm (``"bare"`` included).
+    """
+    ratios = {name: [] for name in variants}
+    seconds = dict.fromkeys(["bare", *variants], 0.0)
+    for r in range(rounds):
+        for name, run in variants.items():
+            if r % 2:
+                elapsed, work = run()
+                bare_elapsed, bare_work = bare()
+            else:
+                bare_elapsed, bare_work = bare()
+                elapsed, work = run()
+            assert work == bare_work
+            ratios[name].append(elapsed / bare_elapsed)
+            seconds[name] += elapsed
+            seconds["bare"] += bare_elapsed
+    overheads = {name: statistics.median(r) - 1.0
+                 for name, r in ratios.items()}
+    return overheads, seconds
+
+
+@pytest.fixture
+def adjacent_pair_overheads():
+    """The shared paired-timing harness of the overhead gates."""
+    return _adjacent_pair_overheads
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ Companion to I1: times the fig4 SpMV kernel under both execution
 backends and archives host instructions/sec plus the compiled/reference
 ratio.  Both the scalar and the vector baseline kernels are measured —
 the scalar kernel is dispatch-bound (where block translation pays),
-while the vector kernel retires most work inside numpy ufuncs whose
-fixed call latency caps any dispatch-side gain; reporting both keeps
-the speedup story honest.
+while the vector kernel spends most of its time in the strip-mined row
+loop, which the compiled backend runs as one numpy pass per row instead
+of a few small numpy calls per strip; reporting both keeps the speedup
+story honest.
 
 Timing is best-of-N over the *same* Soc/program pair, so the compiled
 backend's one-off translation cost lands in the warm-up round and the
@@ -31,7 +32,7 @@ def _setup(backend: str, vector: bool, size: int = 64):
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    program = soc.assemble(spmv_kernel(hht=False, vector=vector))
+    program = soc.assemble(spmv_kernel(accel=None, vector=vector))
     return soc, program
 
 
@@ -68,12 +69,16 @@ def test_backend_dispatch_speed(record_table):
 
     # Loose floors: the compiled backend's scalar advantage is ~4-6x on
     # a quiet box; only a catastrophic regression (e.g. the fast path
-    # silently deferring to reference) should trip these.
+    # silently deferring to reference) should trip these.  The vector
+    # ratio measured ~3.6-5.1x (median ~4.2x) on a 2-core host with the
+    # strip loops run in bulk, ~2.8-3.2x before; the floor sits at about
+    # half the measured median.  Whether the bulk path runs at all is
+    # pinned by tests/cpu (describe()["bulk_loops"]).
     assert ratios["scalar"] > 1.5, (
         f"compiled backend only {ratios['scalar']:.2f}x the reference on "
         "the dispatch-bound scalar kernel"
     )
-    assert ratios["vector"] > 1.0, (
-        f"compiled backend slower than reference ({ratios['vector']:.2f}x) "
-        "on the vector kernel"
+    assert ratios["vector"] > 2.0, (
+        f"compiled backend only {ratios['vector']:.2f}x the reference on "
+        "the vector kernel"
     )

@@ -20,7 +20,7 @@ def _spmv_setup(size: int = 64, sparsity: float = 0.5):
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    program = soc.assemble(spmv_kernel(hht=False, vector=True))
+    program = soc.assemble(spmv_kernel(accel=None, vector=True))
     return soc, program
 
 
@@ -31,7 +31,7 @@ def _spmv_hht_setup(size: int = 64, sparsity: float = 0.5):
     soc.load_csr(matrix)
     soc.load_dense_vector(v)
     soc.allocate_output(matrix.nrows)
-    program = soc.assemble(spmv_kernel(hht=True, vector=True))
+    program = soc.assemble(spmv_kernel(accel="hht", vector=True))
     return soc, program
 
 
@@ -79,7 +79,7 @@ def test_mmio_fifo_pop_speed(benchmark, record_table):
     assert pops_per_second > 2_000
 
 
-def test_probe_hook_overhead(record_table):
+def test_probe_hook_overhead(record_table, adjacent_pair_overheads):
     """I3 — the probe hook chain must be free when nobody subscribes.
 
     The unified SimSession loop replaced the old dedicated profile /
@@ -90,15 +90,9 @@ def test_probe_hook_overhead(record_table):
     subscribe to on_instruction is timed too, informationally — that
     cost is expected and not gated.
 
-    Methodology: each round times a bare run and a probed run
-    back-to-back (alternating which goes first) and keeps their ratio,
-    and the gate checks the median ratio across rounds.  Adjacent-pair
-    ratios cancel the slow drift (frequency scaling, noisy CI
-    neighbours) that made best-of-N absolute times unstable on shared
-    boxes, and alternating the order cancels any within-pair drift
-    bias.
+    Methodology: the median of adjacent-pair ratios of bare and probed
+    runs (the ``adjacent_pair_overheads`` fixture).
     """
-    import statistics
     import time
 
     from repro.instrument import Probe
@@ -115,7 +109,6 @@ def test_probe_hook_overhead(record_table):
             self.n += 1
 
     variants = {
-        "bare": lambda: (),
         "noop_probe": lambda: (NoOpProbe(),),
         "counting_probe": lambda: (CountingProbe(),),
         # The cyclic-sampling path must stay an inline integer compare;
@@ -130,34 +123,18 @@ def test_probe_hook_overhead(record_table):
         return time.perf_counter() - start, result.instructions
 
     rounds = 13
-    ratios = {name: [] for name in variants}
-    seconds = {name: 0.0 for name in variants}
-    for r in range(rounds):
-        for name, make_probes in variants.items():
-            if name == "bare":
-                continue
-            if r % 2:
-                elapsed, n = timed(make_probes())
-                bare_elapsed, bare_n = timed(())
-            else:
-                bare_elapsed, bare_n = timed(())
-                elapsed, n = timed(make_probes())
-            # Identical work per variant, or the ratio is meaningless.
-            assert n == bare_n
-            ratios[name].append(elapsed / bare_elapsed)
-            seconds[name] += elapsed
-            seconds["bare"] += bare_elapsed
-
-    overhead = {"bare": 0.0}
-    for name in ratios:
-        if ratios[name]:
-            overhead[name] = statistics.median(ratios[name]) - 1.0
+    overhead, seconds = adjacent_pair_overheads(
+        lambda: timed(()),
+        {name: (lambda make=make: timed(make()))
+         for name, make in variants.items()},
+        rounds)
+    overhead["bare"] = 0.0
     table = Table(
         "probe hook overhead (48x48 SpMV baseline, median of "
         f"{rounds} adjacent-pair ratios)",
         ["variant", "total_seconds", "overhead_vs_bare"],
     )
-    for name in variants:
+    for name in ("bare", *variants):
         table.add_row(name, seconds[name], f"{overhead[name]:+.1%}")
     record_table(table, "probe_hook_overhead")
 

@@ -6,18 +6,16 @@ path is further covered by the bit-identity test in tests/obs), and a
 *logged* sweep pays at most 5% wall-clock over bare, because every emit
 is one flushed JSONL line off the simulation's hot path.
 
-Methodology mirrors ``test_probe_hook_overhead``: each round times a
-bare sweep and a logged sweep back-to-back (alternating which goes
-first) and keeps their ratio; the gate checks the median ratio across
-rounds.  Adjacent-pair ratios cancel slow drift (frequency scaling,
-noisy CI neighbours), and alternating the order cancels within-pair
-drift bias.  Sweeps run serially on a NullCache so the measured work is
-pure simulation + obs, with no pool-scheduling or disk-cache noise.
+Methodology mirrors ``test_probe_hook_overhead``: the median of
+adjacent-pair ratios (the ``adjacent_pair_overheads`` fixture) of a bare
+sweep and a logged sweep.  Sweeps run serially on a NullCache so the
+measured work is pure simulation + obs, with no pool-scheduling or
+disk-cache noise.
 """
 
 from __future__ import annotations
 
-import statistics
+import itertools
 import time
 
 from repro.analysis.tables import Table
@@ -27,13 +25,15 @@ from repro.obs import NULL_OBS, ObsLog
 
 def _specs():
     return [
-        spmv_spec((48, 48), 0.3 + 0.05 * i, hht=bool(i % 2),
+        spmv_spec((48, 48), 0.3 + 0.05 * i,
+                  accel="hht" if i % 2 else None,
                   matrix_seed=i, vector_seed=i + 100)
         for i in range(4)
     ]
 
 
-def test_obs_logging_overhead(record_table, tmp_path):
+def test_obs_logging_overhead(record_table, adjacent_pair_overheads,
+                              tmp_path):
     def timed(obs_root=None):
         # NULL_OBS pins the bare arm off even if $REPRO_OBS_DIR is set.
         obs = ObsLog.create(obs_root) if obs_root is not None else NULL_OBS
@@ -47,23 +47,10 @@ def test_obs_logging_overhead(record_table, tmp_path):
         return elapsed, cycles
 
     rounds = 13
-    ratios = []
-    seconds = {"bare": 0.0, "obs_logged": 0.0}
-    for r in range(rounds):
-        root = tmp_path / f"round-{r}"
-        if r % 2:
-            logged_elapsed, logged_cycles = timed(root)
-            bare_elapsed, bare_cycles = timed()
-        else:
-            bare_elapsed, bare_cycles = timed()
-            logged_elapsed, logged_cycles = timed(root)
-        # Identical work per arm, or the ratio is meaningless.
-        assert logged_cycles == bare_cycles
-        ratios.append(logged_elapsed / bare_elapsed)
-        seconds["bare"] += bare_elapsed
-        seconds["obs_logged"] += logged_elapsed
-
-    overhead = statistics.median(ratios) - 1.0
+    roots = (tmp_path / f"round-{r}" for r in itertools.count())
+    overheads, seconds = adjacent_pair_overheads(
+        timed, {"obs_logged": lambda: timed(next(roots))}, rounds)
+    overhead = overheads["obs_logged"]
     table = Table(
         "obs logging overhead (4-spec 48x48 serial SpMV sweep, median of "
         f"{rounds} adjacent-pair ratios)",

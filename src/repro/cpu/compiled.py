@@ -41,6 +41,13 @@ Specialization folds everything static into the generated source:
   once, multiplied by the iteration count.  The dispatcher caps each
   burst so the instruction budget still fires at the exact reference
   instruction;
+* a *strip-mined* self-loop — ``vsetvli`` on the remaining count,
+  unit-stride loads on induction pointers, gathers, lane-wise float32
+  ops and accumulators, pointer and count updates, ``bnez`` — runs each
+  entry in bulk: one numpy pass over the whole row does every strip's
+  data work (:class:`_StripLoop`) and the timing follows in closed
+  form; a strip that would fault, a budget cap inside the loop, another
+  core or an MMU leave it to the per-strip loop;
 * a multi-core session runs *generator* blocks under
   :func:`run_compiled_cores`: before each shared op (memory, MMIO,
   escape hatch) a block compares its clock with a bound the driver
@@ -68,12 +75,6 @@ boundaries:
   cores) may differ from the reference abort state (the exception type,
   message and memory-system side effects are identical; no test or
   figure depends on post-fault timing).
-
-One known defect: an escape-hatch handler charges its class directly
-while the block batches the others, so a class first seen in a block
-that also runs a new escape class enters the registry after it (same
-values, different key order; the vector SSR and IndexMAC kernels hit
-this).
 
 The instruction budget stays bit-exact: when a block could cross the
 budget limit the dispatcher falls back to per-instruction reference
@@ -189,6 +190,178 @@ _VI_BINARY = {"vadd.vv": "add", "vsub.vv": "subtract",
 _VX_BINARY = {"vadd.vx": "add", "vmul.vx": "multiply",
               "vand.vx": "bitwise_and", "vor.vx": "bitwise_or"}
 
+#: Lane-wise vector ops a strip-mined loop may run in bulk (besides its
+#: leading ``vsetvli``): each has a whole-row form of one numpy call.
+_STRIP_OPS = frozenset(("vle32.v", "vluxei32.v", "vsll.vi", "vfmacc.vv",
+                        *_VF_BINARY))
+
+
+def _strip_plan(span) -> tuple | None:
+    """``(avl, vl, shift, pointers, ops)`` when *span* (a self-loop
+    block) is a strip-mined loop, the shape of the CPU baselines'
+    ``chunk_loop``; else None.
+
+    The shape: ``vsetvli vl, avl`` first; then lane-wise vector ops
+    (:data:`_STRIP_OPS`) whose sources were written earlier in the same
+    strip, except a ``vfmacc.vv`` accumulator no other op touches;
+    ``vle32.v`` only on induction pointers, ``vluxei32.v`` only on
+    loop-invariant bases; then scalar ``slli shift, vl, 2``, one ``add
+    p, p, shift`` per induction pointer and ``sub avl, avl, vl``; and
+    ``bnez avl`` back to the entry.  Each strip then covers the next
+    ``vl`` elements of every stream, so all strips together cover
+    ``avl`` consecutive elements.
+    """
+    first, last = span[0][1], span[-1][1]
+    avl, vl = first.rs1, first.rd
+    if (first.op != "vsetvli" or not avl or not vl or avl == vl
+            or last.op != "bne" or {last.rs1, last.rs2} != {avl, 0}):
+        return None
+    body = [ins for _, ins in span[1:-1]]
+    k = 0
+    while k < len(body) and body[k].op in _STRIP_OPS:
+        k += 1
+    shift = None
+    pointers: list[int] = []
+    counted = False
+    for ins in body[k:]:
+        if (ins.op == "slli" and shift is None and ins.rs1 == vl
+                and ins.imm == 2 and ins.rd not in (0, vl, avl)):
+            shift = ins.rd
+        elif (ins.op == "add" and shift is not None
+              and ins.rd not in (0, vl, avl, shift, *pointers)
+              and {ins.rs1, ins.rs2} == {ins.rd, shift}):
+            pointers.append(ins.rd)
+        elif (ins.op == "sub" and not counted and ins.rd == ins.rs1 == avl
+              and ins.rs2 == vl):
+            counted = True
+        else:
+            return None
+    written = {avl, vl, shift, *pointers}
+    defined: set[int] = set()
+    accumulators: set[int] = set()
+    loaded: set[int] = set()
+    for ins in body[:k]:
+        op = ins.op
+        if op == "vle32.v":
+            sources = ()
+            if ins.rs1 not in pointers:
+                return None
+            loaded.add(ins.rs1)
+        elif op == "vluxei32.v":
+            sources = (ins.rs2,)
+            if ins.rs1 in written:
+                return None
+        elif op == "vsll.vi":
+            sources = (ins.rs1,)
+        else:
+            sources = (ins.rs1, ins.rs2)
+        if not defined.issuperset(sources) or ins.rd in accumulators:
+            return None
+        if op == "vfmacc.vv":
+            if ins.rd in defined:
+                return None
+            accumulators.add(ins.rd)
+        else:
+            defined.add(ins.rd)
+    if not counted or not pointers or loaded != set(pointers):
+        return None
+    return avl, vl, shift, tuple(pointers), tuple(body[:k])
+
+
+class _StripLoop:
+    """Bulk data path of one strip-mined loop (see :func:`_strip_plan`).
+
+    Called once per entry of the loop block: it works out the trip
+    count, runs every strip's data work as whole-row numpy operations
+    and writes the loop's final architectural state, leaving only the
+    timing to the block.  The row form is exact: slices and gathers
+    read the same words, the lane-wise ops round the same float32
+    operands, and an accumulator sums its lane's products in strip
+    order (``np.add.accumulate`` over the full strips, then the partial
+    last strip into its first lanes), as the strip-by-strip adds do.
+    It declines (returns None, changing nothing) when a strip would
+    leave RAM or misalign, or the trips would pass the budget cap, so
+    the block's per-strip loop runs and faults or stops exactly there.
+    """
+
+    __slots__ = ("avl", "vl", "shift", "pointers", "ops", "vlmax",
+                 "ram_size", "ram_u32", "counters")
+
+    def __init__(self, plan: tuple, vlmax: int, ram, counters: list):
+        self.avl, self.vl, self.shift, self.pointers, ops = plan
+        self.ops = tuple((ins.op, ins.rd, ins.rs1, ins.rs2, ins.imm)
+                         for ins in ops)
+        self.vlmax = vlmax
+        self.ram_size = ram.size
+        self.ram_u32 = ram._u32
+        self.counters = counters
+
+    def __call__(self, cpu, cap: int) -> tuple[int, int, int] | None:
+        """``(trips, elements, last vl)`` once done, else None."""
+        done = self._run(cpu, cap)
+        self.counters[done is None] += 1
+        return done
+
+    def _run(self, cpu, cap: int) -> tuple[int, int, int] | None:
+        x = cpu.x
+        n = x[self.avl] & _U32
+        vlmax = self.vlmax
+        trips = -(-n // vlmax)
+        if not n or trips > cap:
+            return None
+        ram_size = self.ram_size
+        for p in self.pointers:
+            addr = x[p] & _U32
+            if addr & 3 or addr + (n << 2) > ram_size:
+                return None
+        ram = self.ram_u32
+        rows: dict[int, np.ndarray] = {}
+        products = []
+        for op, rd, rs1, rs2, imm in self.ops:
+            if op == "vle32.v":
+                w = (x[rs1] & _U32) >> 2
+                rows[rd] = ram[w:w + n]
+            elif op == "vluxei32.v":
+                eas = rows[rs2] + np.uint32(x[rs1] & _U32)
+                if int(eas.max()) >= ram_size or (eas & 3).any():
+                    return None
+                rows[rd] = ram[eas >> 2]
+            elif op == "vsll.vi":
+                rows[rd] = np.left_shift(rows[rs1], imm)
+            elif op == "vfmacc.vv":
+                products.append((rd, np.multiply(
+                    rows[rs1].view(np.float32), rows[rs2].view(np.float32))))
+            else:
+                rows[rd] = getattr(np, _VF_BINARY[op])(
+                    rows[rs1].view(np.float32),
+                    rows[rs2].view(np.float32)).view(np.uint32)
+        # Final lanes: the last strip's first ``last`` lanes, and the
+        # strip before it in the lanes the last one leaves undisturbed.
+        last = n - (trips - 1) * vlmax
+        lo = n - last
+        v = cpu.v
+        for r, row in rows.items():
+            if trips > 1:
+                v[r][last:] = row[lo - vlmax + last:lo]
+            v[r][:last] = row[lo:]
+        full = n - n % vlmax
+        for r, prod in products:
+            acc = v[r].view(np.float32)
+            sums = np.empty((full // vlmax + 1, vlmax), np.float32)
+            sums[0] = acc
+            sums[1:] = prod[:full].reshape(-1, vlmax)
+            total = np.add.accumulate(sums)[-1]
+            if full < n:
+                total[:n - full] += prod[full:]
+            acc[:] = total
+        x[self.vl] = last
+        x[self.shift] = last << 2
+        for p in self.pointers:
+            x[p] += n << 2
+        x[self.avl] = 0
+        cpu.vl = last
+        return trips, n, last
+
 
 #: Generated block source -> its compiled code object, shared by every
 #: backend in the process.  Sweep points of one kernel emit the same
@@ -269,6 +442,8 @@ class _Codegen:
         # store line, eligible for removal if overwritten before the
         # next barrier (escape / branch / block exit).
         self.xstore_lines: dict[int, int] = {}
+        self.keyed: set[str] = set()     # classes given registry keys
+        self.bulk: list[str] = []        # a strip loop's bulk arm
 
     # -- emission ------------------------------------------------------
     def emit(self, line: str) -> None:
@@ -447,6 +622,17 @@ class _Codegen:
         self.emit(f"cycle += {cost_atom}")
         self.emit(f"{self.dyn_var(klass)} += {cost_atom}")
 
+    def class_keys(self) -> None:
+        """Before an escape-hatch call, which charges its own class at
+        once: give each class batched so far its registry keys (at 0
+        when new), so the keys keep the reference's first-charge order."""
+        for klass in self.counts:
+            if klass not in self.keyed:
+                self.keyed.add(klass)
+                self.need("cc")
+                self.emit(f"if {klass!r} not in _cc:")
+                self.emit(f"    _cc[{klass!r}] = _ccy[{klass!r}] = 0")
+
     def flush_pending(self) -> None:
         if self.pending:
             self.emit(f"cycle += {self.pending}")
@@ -476,9 +662,10 @@ class _Codegen:
             if klass in self.dyn_vars:
                 parts.append(self.dyn_vars[klass])
             self.emit(f"_cc[{klass!r}] = _cc.get({klass!r}, 0) + {n}")
-            if parts:
-                self.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
-                          + " + ".join(parts))
+            # A class that costs 0 cycles still gets its key, as
+            # ``Cpu._charge`` gives it one.
+            self.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
+                      + " + ".join(parts or ["0"]))
 
 
 class CompiledBackend:
@@ -528,6 +715,10 @@ class CompiledBackend:
         # Bumped by generated code on the fallback arm of an inline TLB
         # check; a one-element list so blocks share it through globals.
         self._fallbacks = [0]
+        # Strip-mined loop entries run in bulk / declined, bumped by
+        # each block's :class:`_StripLoop` (or, where the bulk path
+        # cannot apply at all, by the block itself).
+        self._bulk = [0, 0]
         self._base_globals = {
             "_np": np,
             "_f32": np.float32,
@@ -539,6 +730,7 @@ class CompiledBackend:
             "_bus_burst": bus.load_burst,
             "_bus_store_burst": bus.store_burst,
             "_port": self.port,
+            "_bulkn": self._bulk,
             "_ram_u32": self.ram._u32,
             "_ram_f32": self.ram._f32,
             # Same RAM words through the buffer protocol: a memoryview
@@ -575,6 +767,8 @@ class CompiledBackend:
             "loop_blocks": self.loop_blocks,
             "yields": self.yields,
             "tlb_fallbacks": self._fallbacks[0],
+            "bulk_loops": self._bulk[0],
+            "bulk_declined": self._bulk[1],
         }
 
     def blocks_for(self, program: Program,
@@ -635,16 +829,23 @@ class CompiledBackend:
         if looping:
             cg.ind = 1                      # body inside ``while True:``
         body = span[:-1] if looping else span
+        plan = _strip_plan(span) if looping else None
+        static = []                     # static cycles of each body op
         for pc, ins in body:
             cg.hit_prev = False
+            before = sum(cg.static_cycles.values())
             self._emit_instruction(cg, ins, pc, escapes)
+            static.append(sum(cg.static_cycles.values()) - before)
             if cg.hit_prev:
                 self.fused_pairs += 1
 
+        strip = None
         if looping:
             pc, ins = span[-1]
             self._emit_loop_branch(cg, ins, pc)
             self.loop_blocks += 1
+            if plan is not None:
+                strip = self._emit_strip_bulk(cg, plan, body, static, pc)
         else:
             last_pc, last_ins = span[-1]
             if last_ins.op not in CONTROL_OPS:
@@ -658,6 +859,8 @@ class CompiledBackend:
 
         source = self._render(cg, entry, looping)
         scope = dict(self._base_globals)
+        if strip is not None:
+            scope["_bulk"] = strip
         for name_h, name_i, handler, ins in (
             (f"_h{k}", f"_i{k}", h, i)
             for k, (op, h, i) in enumerate(escapes)
@@ -718,6 +921,7 @@ class CompiledBackend:
             head.append(f"    {var} = 0")
         if looping:
             head.append("    _ex = 0")
+            head.extend(cg.bulk)
             head.append("    while True:")
         lines = [ln for ln in cg.lines if ln is not None]
         return "\n".join(head + lines) + "\n"
@@ -758,9 +962,96 @@ class CompiledBackend:
         cg.ind -= 1
         if pending + lat.branch:
             cg.emit(f"cycle += {pending + lat.branch}")
+        self._loop_exit(cg, pc)
+
+    def _loop_exit(self, cg: _Codegen, pc: int) -> None:
+        """Fallthrough exit arm of a self-loop block after ``_ex``
+        iterations, the last one not taken."""
+        lat = self.cpu.lat
+        taken_cost = lat.branch + lat.branch_taken_penalty
         cg.emit("cpu.counters.taken_branches += _ex - 1")
         self._loop_epilogue(cg, f"{taken_cost} * (_ex - 1) + {lat.branch}")
         cg.emit(f"return {pc + 1}, _ex")
+
+    def _emit_strip_bulk(self, cg: _Codegen, plan: tuple, body,
+                         static: list[int], pc: int) -> _StripLoop | None:
+        """The bulk arm of a strip-mined loop block (see
+        :func:`_strip_plan`), rendered ahead of its per-strip loop.
+
+        :class:`_StripLoop` does the data work; the arm then applies
+        the whole loop's timing in closed form.  With every access an
+        aligned RAM word on the single-bank port, a strip's clock
+        advance is ``a + b * vl`` (static charges, ``port_latency +
+        load_use - 1 + vl`` per burst, ``load_use + (port_latency + 1)
+        * vl`` per gather) plus its branch.  Only the first access can
+        wait for the port: after each access the clock is at least
+        ``port_latency + load_use - 1 >= 0`` cycles past the port's
+        next free slot.  Multi-core blocks (whose accesses interleave
+        with other cores), the banked or cached port and an MMU get no
+        bulk arm and count every entry as declined; so does a latency
+        set where that wait-free argument fails.  Returns the block's
+        :class:`_StripLoop`, if it has one.
+        """
+        lat = self.cpu.lat
+        port_lat = self.port.latency
+        loop_lines, loop_ind = cg.lines, cg.ind
+        cg.lines, cg.ind = [], 0
+        strip = None
+        if (cg.multi or not self.inline_ram or self.tlb is not None
+                or port_lat + lat.load_use < 1):
+            cg.emit("_bulkn[1] += 1")
+        else:
+            strip = _StripLoop(plan, self.cpu.vlmax, self.ram, self._bulk)
+            step = port_lat + 1
+            burst = port_lat + lat.load_use - 1
+            a = b = 0              # clock offset within a strip: a + b*vl
+            accesses = []          # (offset a, offset b, class)
+            per_class = {}         # class -> [cycles per trip, per element]
+            for (_, ins), cycles in zip(body, static):
+                if ins.op == "vle32.v":
+                    klass, trip, elem = "vector_load", burst, 1
+                elif ins.op == "vluxei32.v":
+                    klass, trip, elem = "vector_gather", lat.load_use, step
+                else:
+                    a += cycles
+                    continue
+                accesses.append((a, b, klass))
+                a += trip
+                b += elem
+                acc = per_class.setdefault(klass, [0, 0])
+                acc[0] += trip
+                acc[1] += elem
+            first_a, _, first_class = accesses[0]
+            last_a, last_b, last_class = accesses[-1]
+            # The last access issues at its strip offset, its port free
+            # again after ``vl`` slots (a burst) or a gather's chain.
+            if last_class == "vector_load":
+                free_a, free_b = last_a, last_b + 1
+            else:
+                free_a, free_b = last_a + 1 - step, last_b + step
+            taken = lat.branch + lat.branch_taken_penalty
+            cg.emit("_r = _bulk(cpu, _max)")
+            cg.emit("if _r is not None:")
+            cg.ind += 1
+            cg.emit("_ex, _n, _vz = _r")
+            cg.emit(f"_slot = cycle + {first_a}")
+            cg.emit("_w = _pf[0] - _slot if _pf[0] > _slot else 0")
+            cg.emit(f"_pc_req = {len(accesses)} * _n")
+            cg.emit(f"_pc_q = _w * min(_n, {self.cpu.vlmax})"
+                    if first_class == "vector_load" else "_pc_q = _w")
+            for klass, (trip, elem) in per_class.items():
+                wait = " + _w" if klass == first_class else ""
+                cg.emit(f"{cg.dyn_var(klass)} = "
+                        f"{trip} * _ex + {elem} * _n{wait}")
+            # ``_t``: the clock at the start of the last strip.
+            cg.emit(f"_t = cycle + _w + {a + taken} * (_ex - 1) "
+                    f"+ {b} * (_n - _vz)")
+            cg.emit(f"_pf[0] = _t + {free_a} + {free_b} * _vz")
+            cg.emit(f"cycle = _t + {b} * _vz + {a + lat.branch}")
+            self._loop_exit(cg, pc)
+        cg.bulk = cg.lines
+        cg.lines, cg.ind = loop_lines, loop_ind
+        return strip
 
     def _loop_epilogue(self, cg: _Codegen, branch_cycles: str) -> None:
         """Exit-arm accounting for a self-loop block: per-iteration
@@ -781,9 +1072,8 @@ class CompiledBackend:
             if klass in cg.dyn_vars:
                 parts.append(cg.dyn_vars[klass])
             cg.emit(f"_cc[{klass!r}] = _cc.get({klass!r}, 0) + {n} * _ex")
-            if parts:
-                cg.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
-                        + " + ".join(parts))
+            cg.emit(f"_ccy[{klass!r}] = _ccy.get({klass!r}, 0) + "
+                    + " + ".join(parts or ["0"]))
         cg.emit("_cc['branch'] = _cc.get('branch', 0) + _ex")
         cg.emit(f"_ccy['branch'] = _ccy.get('branch', 0) + {branch_cycles}")
 
@@ -1033,6 +1323,7 @@ class CompiledBackend:
         cg.flush_pending()
         cg.shared_op()
         cg.port_flush()
+        cg.class_keys()
         cg.emit("cpu.cycle = cycle")
         k = len(escapes)
         escapes.append((op, getattr(type(self.cpu), HANDLERS[op]), ins))

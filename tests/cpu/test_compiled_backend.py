@@ -87,10 +87,13 @@ class TestTranslationTelemetry:
             "blocks_compiled", "instructions_translated",
             "forwarded_reads", "folded_constants", "fused_pairs",
             "loop_blocks", "code_reused", "yields", "tlb_fallbacks",
+            "bulk_loops", "bulk_declined",
         }
         assert all(v >= 0 for v in info.values())
-        # Single core, no MMU: no hand-offs and no TLB checks.
+        # Single core, no MMU: no hand-offs and no TLB checks; a scalar
+        # counted loop is no strip-mined loop.
         assert info["yields"] == info["tlb_fallbacks"] == 0
+        assert info["bulk_loops"] == info["bulk_declined"] == 0
 
     def test_code_objects_shared_across_cpus(self):
         """A second CPU running the same program reuses every compiled
@@ -189,3 +192,101 @@ class TestBankedAndCachedDeference:
         ))
         assert cpu._compiled_backend.inline_ram is False
         assert cpu.x[11] == 0x100
+
+
+def _spmv_vector_soc(backend: str = "compiled", *, n_cores: int = 1,
+                     mmu: bool = False):
+    """A 48x48 SpMV SoC on the VL=8 vector kernel, ready to run."""
+    from repro.kernels import (
+        partition_rows, spmv_kernel, spmv_multicore_kernel,
+    )
+    from repro.memory import MmuConfig
+    from repro.system import Soc, SystemConfig
+    from repro.workloads import random_csr, random_dense_vector
+
+    cfg = SystemConfig.paper_table1(vlmax=8)
+    cfg.cpu.backend = backend
+    cfg.n_cores = n_cores
+    if mmu:
+        cfg.mmu = MmuConfig()
+    matrix = random_csr((48, 48), 0.5, seed=5)
+    soc = Soc(cfg)
+    soc.load_csr(matrix)
+    soc.load_dense_vector(random_dense_vector(48, seed=6))
+    soc.allocate_output(48)
+    if n_cores > 1:
+        for name, value in partition_rows(48, n_cores).items():
+            soc.define_symbol(name, value)
+        text = spmv_multicore_kernel(n_cores, vector=True)
+    else:
+        text = spmv_kernel(accel=None, vector=True)
+    return soc, soc.assemble(text)
+
+
+class TestStripLoopBulk:
+    """The VL=8 baselines' strip-mined row loop runs in bulk on one
+    core without an MMU, and declines (per strip, still exact) where
+    other cores or a TLB must see each access."""
+
+    def test_vector_spmv_runs_in_bulk(self):
+        soc, program = _spmv_vector_soc()
+        soc.run(program)
+        info = soc.cpu._compiled_backend.describe()
+        assert info["bulk_loops"] > 0
+        assert info["bulk_declined"] == 0
+
+    @pytest.mark.parametrize("n_cores,mmu", [(1, True), (2, False)])
+    def test_mmu_or_second_core_declines(self, n_cores, mmu):
+        results = {}
+        for backend in ("reference", "compiled"):
+            soc, program = _spmv_vector_soc(backend, n_cores=n_cores,
+                                            mmu=mmu)
+            result = soc.run(program)
+            results[backend] = (result.cycles, list(result.stats.items()))
+        assert results["compiled"] == results["reference"]
+        for cpu in soc.cpus:
+            info = cpu._compiled_backend.describe()
+            assert info["bulk_loops"] == 0
+            assert info["bulk_declined"] > 0
+
+
+class TestRegistryKeyOrder:
+    """An escape-hatch op charges its class itself while the block
+    batches the others; the registry must still list classes in the
+    reference's first-charge order, not only with equal values."""
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    @pytest.mark.parametrize("kernel,accel", [
+        ("spmv", "ssr"), ("spmv", "indexmac"),
+        ("spmspv", "ssr"), ("spmspv", "indexmac"),
+    ])
+    def test_vector_front_end_kernels(self, kernel, accel, seed,
+                                      monkeypatch):
+        from repro.analysis.runners import run_spmspv, run_spmv
+        from repro.workloads import (
+            random_csr, random_dense_vector, random_sparse_vector,
+        )
+
+        matrix = random_csr((48, 48), 0.5, seed=seed)
+        items = {}
+        for backend in ("reference", "compiled"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            if kernel == "spmv":
+                run = run_spmv(matrix, random_dense_vector(48, seed=seed + 1),
+                               accel=accel, vlmax=8)
+            else:
+                run = run_spmspv(matrix,
+                                 random_sparse_vector(48, 0.5, seed=seed + 1),
+                                 mode=accel, vlmax=8)
+            items[backend] = list(run.result.stats.items())
+        assert items["compiled"] == items["reference"]
+
+    def test_sub_word_escapes_after_a_batched_class(self):
+        program = assemble("li a0, 0x100\nsb a0, 0(a0)\nsh a0, 4(a0)\n"
+                           "lb a1, 0(a0)\nlh a2, 4(a0)\nhalt")
+        items = {}
+        for backend in ("reference", "compiled"):
+            cpu, _ = make_cpu(backend)
+            cpu.run(program)
+            items[backend] = list(cpu.stats().items())
+        assert items["compiled"] == items["reference"]
